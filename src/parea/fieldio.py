@@ -14,12 +14,28 @@ Values are written with 17 significant digits so a write/read round trip is
 lossless for IEEE doubles. Scalar fields carry one block of node values in
 flat C order (last axis fastest); vector fields carry m consecutive blocks;
 skew fields m(m-1)/2 blocks in (i<j) lexicographic pair order; alternating
-3-tensors C(m,3) blocks in lexicographic triple order.
+3-tensors C(m,3) blocks in lexicographic triple order. Each block starts on
+a new line and holds 8 values per line, the last line of a block shorter
+when the node count is not a multiple of 8.
+
+Writers format each distinct value once: every block (or CSV column) is
+reduced to its distinct float64 bit patterns, each pattern goes through
+`format_real` once, and the strings are scattered back through the inverse
+index. Bit patterns rather than values keep `-0.0` ("-0") apart from `0.0`.
+Lines are formatted and written `_CHUNK_LINES` at a time, so the text of a
+whole file is never held in memory. The bytes written are the same as
+formatting every value in turn.
+
+The reader parses the header, then splits the body once and converts the
+tokens with `float`, so any token `float` accepts (`1_0`, `+1e3`) is read
+as `float` reads it; tabs and blank lines separate values like spaces.
+Every malformed file raises `FieldFormatError`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +54,47 @@ from .grids import (
 
 FORMAT_TAG = "PFLD 1"
 _VALUES_PER_LINE = 8
+# Lines (or CSV rows) formatted and written per step; bounds the memory a
+# write holds in strings, whatever the field size.
+_CHUNK_LINES = 4096
+# The ASCII line boundaries of `str.splitlines` (the file is read with
+# universal newlines, so no '\r' is left).
+_LINE_BREAK = re.compile(r"[\n\v\f\x1c\x1d\x1e]")
+_HEADER_LINES = 6
 
 
 class FieldFormatError(ValueError):
     """Raised for malformed `.pfld` content."""
 
 
-def _fmt(x: float) -> str:
+def format_real(x) -> str:
+    """The decimal form of a real in every parea artifact: 17 significant
+    digits, enough to read back the same IEEE double."""
     return format(float(x), ".17g")
+
+
+def _format_columns(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Strings for equally sized arrays, each formatted once per distinct
+    float64 bit pattern of its array: returns `(strings, index)` with
+    `strings[index[n, k]]` the text of the n-th value (flat C order) of
+    `columns[k]`."""
+    tables, indices, offset = [], [], 0
+    for col in columns:
+        flat = np.ravel(col).astype(np.float64, copy=False)
+        bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+        tables.append(np.array([format_real(x) for x in bits.view(np.float64).tolist()],
+                               dtype=object))
+        indices.append(inverse + offset)
+        offset += bits.size
+    return np.concatenate(tables), np.stack(indices, axis=1)
+
+
+def _write_rows(out, strings: np.ndarray, index: np.ndarray, sep: str) -> None:
+    """Write one line per row of `index`, its cells' strings joined by `sep`."""
+    template = sep.join(["%s"] * index.shape[1]) + "\n"
+    for start in range(0, index.shape[0], _CHUNK_LINES):
+        cells = strings[index[start:start + _CHUNK_LINES]]
+        out.write(template * cells.shape[0] % tuple(cells.ravel().tolist()))
 
 
 def _blocks_of(field) -> tuple[str, list[np.ndarray]]:
@@ -65,20 +114,22 @@ def write_field(field, destination) -> None:
     """Write a field to `.pfld` text; the inverse of `read_field`."""
     kind_line, blocks = _blocks_of(field)
     domain = field.domain
-    lines = [
+    header = [
         FORMAT_TAG,
         f"m={domain.m}",
         "counts=" + " ".join(str(n) for n in domain.counts),
-        "lower=" + " ".join(_fmt(x) for x in domain.lower),
-        "upper=" + " ".join(_fmt(x) for x in domain.upper),
+        "lower=" + " ".join(format_real(x) for x in domain.lower),
+        "upper=" + " ".join(format_real(x) for x in domain.upper),
         kind_line,
     ]
-    for block in blocks:
-        flat = block.ravel(order="C")
-        for start in range(0, flat.size, _VALUES_PER_LINE):
-            chunk = flat[start:start + _VALUES_PER_LINE]
-            lines.append(" ".join(_fmt(x) for x in chunk))
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(destination, "w", encoding="ascii") as out:
+        out.write("\n".join(header) + "\n")
+        for block in blocks:
+            strings, index = _format_columns([block])
+            full = index.shape[0] - index.shape[0] % _VALUES_PER_LINE
+            _write_rows(out, strings, index[:full].reshape(-1, _VALUES_PER_LINE), " ")
+            if full < index.shape[0]:
+                _write_rows(out, strings, index[full:].reshape(1, -1), " ")
 
 
 def _header_value(line: str, key: str) -> str:
@@ -88,12 +139,63 @@ def _header_value(line: str, key: str) -> str:
     return line[len(prefix):]
 
 
+def _split_header(text: str) -> tuple[list[str], str]:
+    """The header lines and the body after them, with the line boundaries
+    `str.splitlines` uses."""
+    lines, pos = [], 0
+    for match in _LINE_BREAK.finditer(text):
+        lines.append(text[pos:match.start()])
+        pos = match.end()
+        if len(lines) == _HEADER_LINES:
+            return lines, text[pos:]
+    if pos < len(text):
+        lines.append(text[pos:])
+    if len(lines) < _HEADER_LINES:
+        raise FieldFormatError("malformed header: file too short")
+    return lines, ""
+
+
+def _parse_kind(line: str, m: int) -> tuple[str, int]:
+    """The kind named on the `kind=` line and its number of value blocks."""
+    tokens = line.split()
+    if not tokens:
+        raise FieldFormatError("malformed header: empty kind line")
+    kind = _header_value(tokens[0], "kind")
+    if kind == "scalar":
+        return kind, 1
+    if kind == "vector":
+        if len(tokens) != 2:
+            raise FieldFormatError("malformed header: vector kind needs c=<m>")
+        c = int(_header_value(tokens[1], "c"))
+        if c != m:
+            raise FieldFormatError(f"malformed header: vector c={c} != m={m}")
+        return kind, m
+    if kind == "skew":
+        return kind, len(pair_indices(m))
+    if kind == "alt3":
+        return kind, len(triple_indices(m))
+    raise FieldFormatError(f"malformed header: unknown kind {kind!r}")
+
+
+def _first_bad_token(tokens: list[str]) -> FieldFormatError:
+    """The error for the first token that is not a finite decimal."""
+    for tok in tokens:
+        try:
+            x = float(tok)
+        except ValueError:
+            return FieldFormatError(f"bad numeric token {tok!r}")
+        if not math.isfinite(x):
+            return FieldFormatError(f"non-finite token {tok!r}")
+    raise AssertionError("every token is a finite decimal")
+
+
 def read_field(source):
     """Read a `.pfld` file; returns the field type the header declares."""
-    text = Path(source).read_text(encoding="ascii")
-    lines = text.splitlines()
-    if len(lines) < 6:
-        raise FieldFormatError("malformed header: file too short")
+    try:
+        text = Path(source).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FieldFormatError(f"not an ASCII file: {exc}") from exc
+    lines, body = _split_header(text)
     if lines[0].strip() != FORMAT_TAG:
         raise FieldFormatError(f"malformed header: bad format tag {lines[0]!r}")
     try:
@@ -101,47 +203,25 @@ def read_field(source):
         counts = [int(t) for t in _header_value(lines[2].strip(), "counts").split()]
         lower = [float(t) for t in _header_value(lines[3].strip(), "lower").split()]
         upper = [float(t) for t in _header_value(lines[4].strip(), "upper").split()]
-    except ValueError as exc:
-        if isinstance(exc, FieldFormatError):
-            raise
-        raise FieldFormatError(f"malformed header: {exc}") from exc
-    try:
         domain = build_domain(m, lower, upper, counts)
+        kind, nblocks = _parse_kind(lines[5], m)
+    except FieldFormatError:
+        raise
     except ValueError as exc:
         raise FieldFormatError(f"malformed header: {exc}") from exc
 
-    kind_tokens = lines[5].strip().split()
-    kind = _header_value(kind_tokens[0], "kind")
-    if kind == "scalar":
-        nblocks = 1
-    elif kind == "vector":
-        if len(kind_tokens) != 2:
-            raise FieldFormatError("malformed header: vector kind needs c=<m>")
-        c = int(_header_value(kind_tokens[1], "c"))
-        if c != m:
-            raise FieldFormatError(f"malformed header: vector c={c} != m={m}")
-        nblocks = m
-    elif kind == "skew":
-        nblocks = len(pair_indices(m))
-    elif kind == "alt3":
-        nblocks = len(triple_indices(m))
-    else:
-        raise FieldFormatError(f"malformed header: unknown kind {kind!r}")
-
-    tokens = " ".join(lines[6:]).split()
-    expected = nblocks * domain.node_count
+    tokens = body.split()
+    # Python ints: a hostile `counts=` line cannot wrap the expected count.
+    expected = nblocks * math.prod(domain.counts)
     if len(tokens) != expected:
         raise FieldFormatError(
             f"count mismatch: expected {expected} values, found {len(tokens)}")
-    values = np.empty(expected)
-    for i, tok in enumerate(tokens):
-        try:
-            x = float(tok)
-        except ValueError as exc:
-            raise FieldFormatError(f"bad numeric token {tok!r}") from exc
-        if not math.isfinite(x):
-            raise FieldFormatError(f"non-finite token {tok!r}")
-        values[i] = x
+    try:
+        values = np.fromiter(map(float, tokens), dtype=np.float64, count=expected)
+    except ValueError:
+        raise _first_bad_token(tokens) from None
+    if not np.isfinite(values).all():
+        raise _first_bad_token(tokens)
 
     blocks = values.reshape((nblocks,) + domain.counts)
     if kind == "scalar":
@@ -188,11 +268,8 @@ def write_csv(field, destination) -> None:
     """One row per node: coordinates then value(s), flat C node order."""
     domain: GridDomain = field.domain
     names, cols = _csv_columns(field)
-    coords = [mesh.ravel(order="C") for mesh in domain.meshes()]
-    flats = [col.ravel(order="C") for col in cols]
     header = ",".join([f"x{k + 1}" for k in range(domain.m)] + names)
-    lines = [header]
-    for idx in range(domain.node_count):
-        row = [_fmt(c[idx]) for c in coords] + [_fmt(f[idx]) for f in flats]
-        lines.append(",".join(row))
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="ascii")
+    strings, index = _format_columns(list(domain.meshes()) + cols)
+    with open(destination, "w", encoding="ascii") as out:
+        out.write(header + "\n")
+        _write_rows(out, strings, index, ",")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fieldio import FieldFormatError, read_field, write_csv, write_field
+from .fieldio import FieldFormatError, format_real, read_field, write_csv, write_field
 from .grids import ScalarField, VectorField
 from .horizontal import curl_matrix, singular_set, singular_stats, weight, horizontal_normal
 from .integrability import (
@@ -143,7 +143,7 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
+        return format_real(x)
     return str(x)
 
 

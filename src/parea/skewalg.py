@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fieldio import format_real
 from .grids import pair_indices
 
 DEFAULT_RANK_TOL = 1e-9
@@ -67,13 +68,13 @@ def write_skew_matrix(s, destination) -> None:
     """Text form: `SKEW m=<int>` then the upper-triangle entries."""
     if not isinstance(s, SkewMatrix):
         s = SkewMatrix.from_matrix(s)
-    body = " ".join(format(x, ".17g") for x in s.triangle)
+    body = " ".join(format_real(x) for x in s.triangle)
     Path(destination).write_text(f"SKEW m={s.m}\n{body}\n", encoding="ascii")
 
 
 def read_skew_matrix(source) -> SkewMatrix:
     text = Path(source).read_text(encoding="ascii").split()
-    if len(text) < 1 or text[0] != "SKEW" or not text[1].startswith("m="):
+    if len(text) < 2 or text[0] != "SKEW" or not text[1].startswith("m="):
         raise ValueError("malformed skew matrix file")
     m = int(text[1][2:])
     entries = tuple(float(t) for t in text[2:])

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fieldio import format_real
 from .grids import (
     ScalarField,
     VectorField,
@@ -231,7 +232,7 @@ class MinimizeResult:
         lines = ["stage iteration objective residual"]
         for snum, stage in enumerate(self.stages):
             for it, obj, res in stage.history:
-                lines.append(f"{snum} {it} {obj:.17g} {res:.17g}")
+                lines.append(f"{snum} {it} {format_real(obj)} {format_real(res)}")
         return "\n".join(lines) + "\n"
 
 

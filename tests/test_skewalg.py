@@ -194,6 +194,12 @@ class TestSkewMatrixType:
         assert np.array_equal(back.matrix, s.matrix)
         assert path.read_text().startswith("SKEW m=5\n")
 
+    def test_bare_tag_file_is_malformed(self, tmp_path):
+        path = tmp_path / "s.skew"
+        path.write_text("SKEW\n")
+        with pytest.raises(ValueError, match="malformed skew matrix file"):
+            read_skew_matrix(path)
+
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
