@@ -47,6 +47,7 @@ from .skewalg import (
     rank2_audit,
     rank2_factorize,
     skew_rank,
+    skew_ranks,
     spectral_pairs,
 )
 from .integrability import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 
 from .runner import (
+    CONFIG_FIELDS,
     INPUT_KEYS,
     ConfigError,
     ExitCode,
@@ -50,7 +51,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="singular threshold / closedness tolerance")
     parser.add_argument("--eta", type=float,
                         help="integrability classification threshold")
-    parser.add_argument("--band", type=int, help="random field frequency band")
     parser.add_argument("--method", choices=("staircase", "least-squares"),
                         help="potential integration method")
     parser.add_argument("--base", help="base node multi-index, comma list")
@@ -84,18 +84,10 @@ def _mapping_from_args(args: argparse.Namespace) -> dict[str, str]:
     mapping: dict[str, str] = {}
     if args.config:
         mapping.update(load_config(args.config))
-    mapping["operation"] = args.operation
-    simple = ("out", "seed", "resolution", "tol", "eta", "band", "method",
-              "base", "eps_points", "max_iterations", "first_order_tol",
-              "scenario")
-    for key in simple:
+    for key in (*CONFIG_FIELDS, *INPUT_KEYS):
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = str(value)
-    for key in INPUT_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
     if args.operation == "scenario":
         mapping["scenario"] = args.name
     return mapping

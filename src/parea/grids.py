@@ -103,6 +103,8 @@ def build_domain(m: int, lower: Sequence[float], upper: Sequence[float],
     for axis, (l, u) in enumerate(zip(lower, upper)):
         if not u > l:
             raise ValueError(f"degenerate box on axis {axis}: [{l}, {u}]")
+        if not math.isfinite(u - l):
+            raise ValueError(f"non-finite box on axis {axis}: [{l}, {u}]")
     return GridDomain(lower=lower, upper=upper, counts=counts)
 
 
@@ -110,6 +112,19 @@ def build_domain(m: int, lower: Sequence[float], upper: Sequence[float],
 def pair_indices(m: int) -> tuple[tuple[int, int], ...]:
     """Strictly increasing index pairs (i, j), lexicographic."""
     return tuple(itertools.combinations(range(m), 2))
+
+
+def dense_skew(entries, m: int) -> np.ndarray:
+    """Dense skew matrices from upper-triangle entries: entries[p] is the
+    (i, j) entry for pair_indices(m)[p], so entries of shape (npairs, ...)
+    give matrices of shape (m, m, ...) with out[j, i] = -out[i, j]."""
+    entries = np.asarray(entries, dtype=float)
+    # triu_indices lists the pairs in the same lexicographic order
+    rows, cols = np.triu_indices(m, 1)
+    out = np.zeros((m, m) + entries.shape[1:])
+    out[rows, cols] = entries
+    out[cols, rows] = -entries
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -199,16 +214,9 @@ class SkewField:
             return self.entries[self.pair_position(i, j)]
         return -self.entries[self.pair_position(j, i)]
 
-    def as_matrices(self) -> np.ndarray:
-        """Dense per-node matrices, shape (node_count, m, m)."""
-        m = self.domain.m
-        n = self.domain.node_count
-        out = np.zeros((n, m, m))
-        for p, (i, j) in enumerate(self.pairs):
-            flat = self.entries[p].ravel(order="C")
-            out[:, i, j] = flat
-            out[:, j, i] = -flat
-        return out
+    def dense(self) -> np.ndarray:
+        """Dense per-node matrices, shape (m, m, *counts)."""
+        return dense_skew(self.entries, self.domain.m)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries))) if self.entries.size else 0.0
@@ -425,14 +433,11 @@ def quadrature_weights(domain: GridDomain) -> np.ndarray:
 
 def integrate(f: ScalarField) -> float:
     """Tensor-product trapezoidal rule over the whole box."""
-    acc = f.values
-    for axis in range(f.domain.m - 1, -1, -1):
-        w = _trapezoid_vector(f.domain.counts[axis], f.domain.spacing[axis])
-        acc = acc @ w
-    return float(acc)
+    return integrate_values(f.domain, f.values)
 
 
 def integrate_values(domain: GridDomain, values: np.ndarray) -> float:
+    """Tensor-product trapezoidal rule for an array of shape domain.counts."""
     acc = values
     for axis in range(domain.m - 1, -1, -1):
         w = _trapezoid_vector(domain.counts[axis], domain.spacing[axis])

@@ -102,18 +102,17 @@ def _curl_identity_residual(domain: GridDomain, nu: np.ndarray, d: np.ndarray,
     """LHS - RHS of the identity
     delta_i nu_j - delta_j nu_i = (h_ij - nu_j nu_k h_ik - nu_i nu_k h_kj)/D,
     zeroed on masked nodes."""
-    m = domain.m
     dnu = _component_gradients(domain, nu)
     # c[j] = nu_k d_k nu_j
     c = np.einsum("k...,kj...->j...", nu, dnu)
     # s[i] = nu_k h_ik  (note h_ik = -h_ki)
-    hmat = np.stack([np.stack([h.entry(i, k) for k in range(m)]) for i in range(m)])
+    hmat = h.dense()
     s = np.einsum("k...,ik...->i...", nu, hmat)
     safe_d = np.where(mask, 1.0, d) if mask is not None else d
     entries = []
-    for i, j in pair_indices(m):
+    for i, j in pair_indices(domain.m):
         lhs = dnu[i, j] - dnu[j, i] - nu[i] * c[j] + nu[j] * c[i]
-        rhs = (h.entry(i, j) - nu[j] * s[i] + nu[i] * s[j]) / safe_d
+        rhs = (hmat[i, j] - nu[j] * s[i] + nu[i] * s[j]) / safe_d
         res = lhs - rhs
         if mask is not None:
             res = np.where(mask, 0.0, res)
@@ -180,10 +179,7 @@ def _pointwise_magnitude(field) -> np.ndarray:
         return np.abs(field.values)
     if isinstance(field, VectorField):
         return np.sqrt(np.sum(field.values ** 2, axis=0))
-    if isinstance(field, (SkewField,)):
-        if field.entries.shape[0] == 0:
-            return np.zeros(field.domain.counts)
-        return np.max(np.abs(field.entries), axis=0)
+    # skew and alternating fields: the largest stored entry
     if field.entries.shape[0] == 0:
         return np.zeros(field.domain.counts)
     return np.max(np.abs(field.entries), axis=0)

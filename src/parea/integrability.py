@@ -29,6 +29,7 @@ from .grids import (
     Alternating3Field,
     GridDomain,
     ScalarField,
+    SingularMask,
     SkewField,
     VectorField,
     axis_derivative,
@@ -70,12 +71,17 @@ def frobenius_tensor(nu: VectorField, f: VectorField) -> Alternating3Field:
 
 @dataclass(frozen=True)
 class ClassificationField:
-    """Per-node integrability labels with the thresholds that produced them."""
+    """Per-node integrability labels with the thresholds that produced them,
+    and the horizontal normal, singular mask and Frobenius tensor they were
+    read from."""
 
     domain: GridDomain
     labels: np.ndarray
     tau: float
     eta: float
+    normal: VectorField
+    mask: SingularMask
+    tensor: Alternating3Field
 
     def fraction(self, label: IntegrabilityLabel) -> float:
         return float(np.mean(self.labels == int(label)))
@@ -113,7 +119,8 @@ def classify_integrability(w: ScalarField, f: VectorField,
                  int(IntegrabilityLabel.INTEGRABLE),
                  int(IntegrabilityLabel.NONINTEGRABLE)),
     ).astype(np.int8)
-    return ClassificationField(domain=domain, labels=labels, tau=tau, eta=eta)
+    return ClassificationField(domain=domain, labels=labels, tau=tau, eta=eta,
+                               normal=nu, mask=mask, tensor=tensor)
 
 
 def _check_triple(nu: VectorField, d: ScalarField, f: VectorField) -> GridDomain:
@@ -144,8 +151,7 @@ def normal_contraction_residual(nu: VectorField, d: ScalarField,
     v = nu.values
     dd = np.stack([axis_derivative(domain, d.values, k) for k in range(m)])
     dnu = _component_gradients(domain, v)
-    h = curl_matrix(f)
-    hmat = np.stack([np.stack([h.entry(i, k) for k in range(m)]) for i in range(m)])
+    hmat = curl_matrix(f).dense()
     nu_dot_dd = np.einsum("i...,i...->...", v, dd)
     # a[k] = nu_j (d_j nu_k - d_k nu_j)
     a = (np.einsum("j...,jk...->k...", v, dnu)
@@ -165,8 +171,7 @@ def weight_equation_residual(nu: VectorField, d: ScalarField,
     v = nu.values
     dd = np.stack([axis_derivative(domain, d.values, k) for k in range(m)])
     dnu = _component_gradients(domain, v)
-    h = curl_matrix(f)
-    hmat = np.stack([np.stack([h.entry(j, k) for k in range(m)]) for j in range(m)])
+    hmat = curl_matrix(f).dense()
     nu_dot_dd = np.einsum("i...,i...->...", v, dd)
     delta_d = dd - v * nu_dot_dd
     advect = np.einsum("j...,jk...->k...", v, dnu)

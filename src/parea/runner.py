@@ -9,6 +9,8 @@ not closed, 4 I/O or configuration error, 5 solver non-convergence.
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -18,12 +20,7 @@ import numpy as np
 from .fieldio import FieldFormatError, format_real, read_field, write_csv, write_field
 from .grids import ScalarField, VectorField
 from .horizontal import curl_matrix, singular_set, singular_stats, weight, horizontal_normal
-from .integrability import (
-    IntegrabilityLabel,
-    classify_integrability,
-    frobenius_tensor,
-    renormalize_normal,
-)
+from .integrability import IntegrabilityLabel, classify_integrability, renormalize_normal
 from .reconstruction import (
     NotClosedError,
     candidate_gradient,
@@ -69,7 +66,6 @@ class ExperimentConfig:
     resolution: tuple[int, ...] | None = None
     tol: float | None = None
     eta: float | None = None
-    band: int = 2
     method: str = "staircase"
     base: tuple[int, ...] | None = None
     eps_points: int = 11
@@ -97,44 +93,42 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
+def _config_fields() -> dict[str, tuple[str, typing.Callable[[str], object]]]:
+    """Config key -> (ExperimentConfig field, parser of its text value).
+
+    Every field but `inputs` is a key under its own name, except `out_dir`,
+    which is `out`; the inputs are keyed by INPUT_KEYS."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    keys = {}
+    for fld in dataclasses.fields(ExperimentConfig):
+        if fld.name == "inputs":
+            continue
+        hint = hints[fld.name]
+        kind = next(t for t in typing.get_args(hint) or (hint,)
+                    if t is not type(None))
+        parse = _parse_ints if typing.get_origin(kind) is tuple else kind
+        keys["out" if fld.name == "out_dir" else fld.name] = (fld.name, parse)
+    return keys
+
+
+CONFIG_FIELDS = _config_fields()
+
+
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    known = {"operation", "out", "scenario", "seed", "resolution", "tol", "eta",
-             "band", "method", "base", "eps_points", "max_iterations",
-             "first_order_tol"} | set(INPUT_KEYS)
-    unknown = set(mapping) - known
+    unknown = set(mapping) - set(CONFIG_FIELDS) - set(INPUT_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "operation" not in mapping:
         raise ConfigError("config needs an operation")
-    cfg = ExperimentConfig(operation=mapping["operation"])
-    if "out" in mapping:
-        cfg.out_dir = mapping["out"]
-    if "scenario" in mapping:
-        cfg.scenario = mapping["scenario"]
-    if "seed" in mapping:
-        cfg.seed = int(mapping["seed"])
-    if "resolution" in mapping:
-        cfg.resolution = _parse_ints(mapping["resolution"])
-    if "tol" in mapping:
-        cfg.tol = float(mapping["tol"])
-    if "eta" in mapping:
-        cfg.eta = float(mapping["eta"])
-    if "band" in mapping:
-        cfg.band = int(mapping["band"])
-    if "method" in mapping:
-        cfg.method = mapping["method"]
-    if "base" in mapping:
-        cfg.base = _parse_ints(mapping["base"])
-    if "eps_points" in mapping:
-        cfg.eps_points = int(mapping["eps_points"])
-    if "max_iterations" in mapping:
-        cfg.max_iterations = int(mapping["max_iterations"])
-    if "first_order_tol" in mapping:
-        cfg.first_order_tol = float(mapping["first_order_tol"])
-    for key in INPUT_KEYS:
+    values = {}
+    for key, (name, parse) in CONFIG_FIELDS.items():
         if key in mapping:
-            cfg.inputs[key] = mapping[key]
-    return cfg
+            try:
+                values[name] = parse(mapping[key])
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {mapping[key]!r}") from exc
+    inputs = {key: mapping[key] for key in INPUT_KEYS if key in mapping}
+    return ExperimentConfig(**values, inputs=inputs)
 
 
 def _fmt(x) -> str:
@@ -301,8 +295,7 @@ def _run_check_integrability(config: ExperimentConfig, out: Path) -> ExitCode:
     f = _need(data, "f", "check-integrability")
     eta = config.eta if config.eta is not None else 1e-4
     labels = classify_integrability(w, f, _tau(config), eta)
-    nu, _ = horizontal_normal(w, f, _tau(config))
-    tensor = frobenius_tensor(nu, f)
+    tensor = labels.tensor
     label_field = ScalarField(w.domain, labels.labels.astype(float))
     write_field(label_field, out / "labels.pfld")
     write_csv(label_field, out / "labels.csv")

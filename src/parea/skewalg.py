@@ -1,11 +1,14 @@
 """Value-level linear algebra of real skew-symmetric matrices.
 
 Skew matrices have purely imaginary eigenvalue pairs +-i*lambda, so their
-rank is even and the whole spectrum can be read off the symmetric
-positive-semidefinite matrix -S^2. All eigen-structure here is computed
-that way (symmetric solvers are robust; a nonsymmetric solver is never
-needed). Rank-two matrices factor as
-S = lambda * (nu_perp nu^T - nu nu_perp^T) with nu_perp = S nu / |S nu|.
+rank is even. The lambda_j are the singular values of S, which arrive in
+equal pairs; spectra and numerical rank come from one batched SVD
+(`paired_spectrum`, `skew_ranks`) on a single matrix or a stack
+(..., m, m), never from -S^2, whose eigenvalues bury exact zeros in
+eps * lambda_max^2 noise. A nonsymmetric solver is never needed. Rank-two
+matrices factor as S = lambda * (nu_perp nu^T - nu nu_perp^T) with
+nu_perp = S nu / |S nu|; the factorization takes nu from the symmetric
+matrix -S^2, which is safe once the rank is known to be two.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .fieldio import format_real
-from .grids import pair_indices
+from .grids import dense_skew, pair_indices
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -36,11 +39,7 @@ class SkewMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        out = np.zeros((self.m, self.m))
-        for entry, (i, j) in zip(self.triangle, pair_indices(self.m)):
-            out[i, j] = entry
-            out[j, i] = -entry
-        return out
+        return dense_skew(self.triangle, self.m)
 
     @classmethod
     def from_matrix(cls, mat, tol: float = 1e-12) -> "SkewMatrix":
@@ -55,11 +54,13 @@ class SkewMatrix:
         return cls(m=m, triangle=triangle)
 
 
-def _dense(s) -> np.ndarray:
+def _dense(s, stack: bool = False) -> np.ndarray:
+    """S as a float array; with `stack`, any (..., m, m) stack of matrices."""
     if isinstance(s, SkewMatrix):
         return s.matrix
     arr = np.asarray(s, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if (arr.ndim < 2 or (arr.ndim > 2 and not stack)
+            or arr.shape[-2] != arr.shape[-1]):
         raise ValueError("matrix must be square")
     return arr
 
@@ -83,32 +84,35 @@ def read_skew_matrix(source) -> SkewMatrix:
 
 def paired_spectrum(s) -> np.ndarray:
     """All lambda_j >= 0 (with multiplicity) from the eigenvalue pairs
-    +-i*lambda_j, in descending order; length floor(m/2).
+    +-i*lambda_j, in descending order; length floor(m/2). A stack
+    (..., m, m) gives one spectrum per matrix, shape (..., floor(m/2)).
 
     The lambda_j are the singular values of S, which arrive in equal pairs;
     averaging each pair keeps exact zeros clean (going through -S^2 would
     bury them in eps * lambda_max^2 noise)."""
-    mat = _dense(s)
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    return np.asarray([0.5 * (sigma[2 * j] + sigma[2 * j + 1])
-                       for j in range(mat.shape[0] // 2)])
+    sigma = np.linalg.svd(_dense(s, stack=True), compute_uv=False)
+    return 0.5 * (sigma[..., 0:-1:2] + sigma[..., 1::2])
 
 
-def skew_rank(s, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank by thresholding the paired singular values at
-    tol * largest; even by construction, 0 iff S vanishes within tolerance."""
+def skew_ranks(s, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Numerical rank of every matrix of a stack (..., m, m), shape (...):
+    the paired singular values are thresholded at tol * largest. Ranks are
+    even by construction, and 0 exactly where a matrix vanishes."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     lams = paired_spectrum(s)
-    if lams.size == 0 or lams[0] == 0.0:
-        return 0
-    return 2 * int(np.sum(lams > tol * lams[0]))
+    return 2 * np.count_nonzero(lams > tol * lams[..., :1], axis=-1)
+
+
+def skew_rank(s, tol: float = DEFAULT_RANK_TOL) -> int:
+    """Numerical rank of one skew matrix (see `skew_ranks`)."""
+    return int(skew_ranks(_dense(s), tol))
 
 
 def spectral_pairs(s, tol: float = DEFAULT_RANK_TOL) -> list[float]:
     """The positive imaginary parts lambda_j of the eigenvalue pairs,
     descending, with multiplicities; empty for the zero matrix."""
-    lams = paired_spectrum(s)
+    lams = paired_spectrum(_dense(s))
     if lams.size == 0 or lams[0] == 0.0:
         return []
     return [float(x) for x in lams[lams > tol * lams[0]]]

@@ -40,7 +40,7 @@ from .horizontal import (
     weight,
 )
 from .integrability import DEFAULT_CLASSIFY_TOL, IntegrabilityLabel, classify_integrability
-from .skewalg import DEFAULT_RANK_TOL
+from .skewalg import DEFAULT_RANK_TOL, skew_ranks
 
 
 # --------------------------------------------------------------------------
@@ -252,12 +252,6 @@ class _SmoothedObjective:
                       for k in range(self.domain.m)])
         return g + self.f_values
 
-    def value(self, u: np.ndarray, eps: float) -> float:
-        p = self._shifted_gradient(u)
-        s = np.sqrt(np.sum(p * p, axis=0) + eps * eps)
-        total = s if self.h_values is None else s + self.h_values * u
-        return float(np.sum(self.weights * total))
-
     def value_and_grad(self, u: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
         p = self._shifted_gradient(u)
         s = np.sqrt(np.sum(p * p, axis=0) + eps * eps)
@@ -398,22 +392,9 @@ class UniquenessReport:
         return float(np.mean(self.divb_sign > 0))
 
 
-def _stacked_skew_rank(mats: np.ndarray, tol: float) -> np.ndarray:
-    sym = -np.einsum("nij,njk->nik", mats, mats)
-    ev = np.linalg.eigvalsh(sym)[:, ::-1]
-    m = mats.shape[1]
-    lams = np.stack([np.sqrt(np.clip(0.5 * (ev[:, 2 * j] + ev[:, 2 * j + 1]), 0, None))
-                     for j in range(m // 2)], axis=1)
-    top = lams[:, 0]
-    counts = np.sum(lams > tol * top[:, None], axis=1)
-    counts[top == 0.0] = 0
-    return 2 * counts
-
-
 def pointwise_skew_rank(field, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Numerical rank of a skew matrix field at every node (always even)."""
-    ranks = _stacked_skew_rank(field.as_matrices(), tol)
-    return ranks.reshape(field.domain.counts)
+    return skew_ranks(np.moveaxis(field.dense(), (0, 1), (-2, -1)), tol)
 
 
 def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
@@ -425,9 +406,13 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     inner product |< (grad(u_eps) + F)^a , grad(v) - grad(u) >| (the pointwise
     sup of the integrand is reported alongside)."""
     domain = require_same_domain(u, v, f)
-    nu_u, mask_u = horizontal_normal(u, f, tau)
-    nu_v, mask_v = horizontal_normal(v, f, tau)
-    joint = mask_u.flags | mask_v.flags
+    # ranks first: the dense curl stack is freed before the two
+    # classifications (and their tensors) exist, which keeps the peak lower
+    ranks = pointwise_skew_rank(curl_matrix(f))
+    cls_u = classify_integrability(u, f, tau, eta)
+    cls_v = classify_integrability(v, f, tau, eta)
+    nu_u, nu_v = cls_u.normal, cls_v.normal
+    joint = cls_u.mask.flags | cls_v.mask.flags
     off = ~joint
 
     normal_diff = np.sqrt(np.sum((nu_u.values - nu_v.values) ** 2, axis=0))
@@ -436,14 +421,11 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     gv = gradient(v).values
     grad_diff = np.sqrt(np.sum((gu - gv) ** 2, axis=0))
 
-    hfield = curl_matrix(f)
-    ranks = pointwise_skew_rank(hfield)
     rank_flags = (ranks >= 3) & off
 
-    ni_u = classify_integrability(u, f, tau, eta).labels
-    ni_v = classify_integrability(v, f, tau, eta).labels
-    noninteg = ((ni_u == int(IntegrabilityLabel.NONINTEGRABLE))
-                | (ni_v == int(IntegrabilityLabel.NONINTEGRABLE))) & off
+    nonintegrable = int(IntegrabilityLabel.NONINTEGRABLE)
+    noninteg = ((cls_u.labels == nonintegrable)
+                | (cls_v.labels == nonintegrable)) & off
 
     db = skew_divergence(f, a).values
     db_tol = 1e-12 * field_scale(db)

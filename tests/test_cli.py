@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import parea.cli
 from parea.cli import main
 from parea.fieldio import read_field, write_field
 from parea.grids import build_domain, sample, sample_vector
-from parea.runner import ExitCode, config_from_mapping, load_config
+from parea.runner import (
+    ExitCode,
+    ExperimentConfig,
+    config_from_mapping,
+    load_config,
+)
 
 
 def run_cli(*args):
@@ -208,6 +216,59 @@ class TestConfigFile:
         cfg.write_text("operation=scenario\nwhatever=1\n")
         code = run_cli("scenario", "example_2_2", "--config", str(cfg))
         assert code == int(ExitCode.CONFIG_ERROR)
+
+    def test_bad_value_is_config_error(self, tmp_path):
+        for line in ("seed=abc", "resolution=7,x", "tol=small"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"operation=evaluate\n{line}\n")
+            code = run_cli("evaluate", "--config", str(cfg))
+            assert code == int(ExitCode.CONFIG_ERROR)
+
+    def test_band_removed(self, tmp_path):
+        # --band and band= were never read; both are now rejected
+        assert run_cli("evaluate", "--scenario", "example_2_2", "--band", "3",
+                       "--out", str(tmp_path)) == int(ExitCode.CONFIG_ERROR)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("operation=evaluate\nscenario=example_2_2\nband=3\n")
+        code = run_cli("evaluate", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == int(ExitCode.CONFIG_ERROR)
+
+    def test_every_field_round_trips(self, tmp_path, monkeypatch):
+        # one non-default value per config field, set by flag and by file
+        values = {
+            "out_dir": str(tmp_path / "o"),
+            "scenario": "example_2_2",
+            "seed": 7,
+            "resolution": (9, 11),
+            "tol": 0.001,
+            "eta": 0.002,
+            "method": "least-squares",
+            "base": (1, 2),
+            "eps_points": 5,
+            "max_iterations": 10,
+            "first_order_tol": 1e-07,
+            "inputs": {"u": "u.pfld", "nu": "nu.pfld"},
+        }
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert fields == set(values) | {"operation"}
+
+        def text(value):
+            return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+        pairs = [("out" if name == "out_dir" else name, text(value))
+                 for name, value in values.items() if name != "inputs"]
+        pairs += list(values["inputs"].items())
+        seen = []
+        monkeypatch.setattr(parea.cli, "run", lambda config: seen.append(config) or 0)
+        argv = ["evaluate"]
+        for key, value in pairs:
+            argv += ["--" + key.replace("_", "-"), value]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in pairs))
+        assert run_cli(*argv) == 0
+        assert run_cli("evaluate", "--config", str(cfg)) == 0
+        expected = ExperimentConfig(operation="evaluate", **values)
+        assert seen == [expected, expected]
 
     def test_bad_flag_is_config_error(self):
         assert run_cli("scenario") == int(ExitCode.CONFIG_ERROR)

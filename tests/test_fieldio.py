@@ -353,6 +353,20 @@ def test_empty_kind_line_exits_4(tmp_path):
         assert code == 4
 
 
+def test_infinite_bound_exits_4(tmp_path):
+    d = build_domain(2, [0, 0], [1, 1], [5, 5])
+    f = tmp_path / "f.pfld"
+    write_field(sample_vector(d, [lambda x, y: -y, lambda x, y: x]), f)
+    lines = f.read_text().splitlines()
+    assert lines[3].startswith("lower=")
+    lines[3] = "lower=-inf 0"
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError, match="non-finite"):
+        read_field(f)
+    code = main(["rank-analysis", "--f", str(f), "--out", str(tmp_path / "out")])
+    assert code == 4
+
+
 _FUZZ_ALPHABET = "0123456789.-+eE_=xnaifkscvtlr \t\n"
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from parea.grids import (
     ScalarField,
+    SkewField,
     VectorField,
     build_domain,
     divergence,
@@ -43,6 +44,15 @@ class TestBuildDomain:
     def test_degenerate_box(self):
         with pytest.raises(ValueError, match="degenerate"):
             build_domain(2, [0, 1], [1, 1], [5, 5])
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([-np.inf, 0], [1, 1]),
+        ([0, 0], [np.inf, 1]),
+        ([0, -1e308], [1, 1e308]),  # finite bounds, infinite extent
+    ])
+    def test_non_finite_box(self, lower, upper):
+        with pytest.raises(ValueError, match="non-finite"):
+            build_domain(2, lower, upper, [5, 5])
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError, match="m entries"):
@@ -182,6 +192,16 @@ class TestFieldContainers:
         d = unit_square(5)
         with pytest.raises(ValueError, match="shape"):
             VectorField(d, np.zeros((3, 5, 5)))
+
+    def test_skew_dense_matches_entries(self):
+        d = build_domain(4, [0] * 4, [1] * 4, [5] * 4)
+        rng = np.random.default_rng(0)
+        h = SkewField(d, rng.standard_normal((6,) + d.counts))
+        dense = h.dense()
+        assert dense.shape == (4, 4) + d.counts
+        for i in range(4):
+            for j in range(4):
+                assert np.array_equal(dense[i, j], h.entry(i, j))
 
     def test_field_scale_floors_at_one(self):
         d = unit_square(5)

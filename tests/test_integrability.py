@@ -105,6 +105,17 @@ class TestClassification:
         labels = classify_integrability(w, f)
         assert labels.labels[8, 0] == int(IntegrabilityLabel.SINGULAR)
 
+    def test_carries_normal_mask_and_tensor(self):
+        d = unit_box(4, 5)
+        f = heisenberg_field(d)
+        w = sample(d, lambda a, b, c, e: a * b + 0.3 * c)
+        labels = classify_integrability(w, f)
+        nu, mask = horizontal_normal(w, f)
+        assert np.array_equal(labels.normal.values, nu.values)
+        assert np.array_equal(labels.mask.flags, mask.flags)
+        assert np.array_equal(labels.tensor.entries,
+                              frobenius_tensor(nu, f).entries)
+
     def test_full_rank_blocks_never_integrable(self):
         # rank-4 curl: no unit direction makes the tensor vanish anywhere
         d = unit_box(4, 5)

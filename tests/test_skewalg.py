@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from parea.skewalg import (
     SkewMatrix,
     alignment_residual,
+    paired_spectrum,
     rank2_audit,
     rank2_factorize,
     read_skew_matrix,
     skew_rank,
+    skew_ranks,
     spectral_pairs,
     write_skew_matrix,
 )
@@ -35,6 +37,40 @@ def random_rank2(rng, m):
     a = rng.standard_normal(m)
     b = rng.standard_normal(m)
     return np.outer(a, b) - np.outer(b, a)
+
+
+def random_rank(rng, m, rank):
+    """A generic skew matrix of the given even rank (a sum of rank-2 terms),
+    scaled over several decades."""
+    out = np.zeros((m, m))
+    for _ in range(rank // 2):
+        out += random_rank2(rng, m)
+    return 10.0 ** rng.uniform(-3, 3) * out
+
+
+class TestBatchedRank:
+    def test_stack_matches_single_matrix(self):
+        # property: on stacks of rank 0/2/4/6 the batched kernel returns the
+        # rank and spectrum of each matrix taken alone
+        rng = np.random.default_rng(2024)
+        for m in (4, 5, 6):
+            for _ in range(5):
+                ranks = rng.choice([r for r in (0, 2, 4, 6) if r <= m], size=(3, 20))
+                stack = np.array([[random_rank(rng, m, r) for r in row]
+                                  for row in ranks])
+                batched = skew_ranks(stack)
+                assert batched.shape == (3, 20)
+                assert np.array_equal(batched, ranks)
+                single = [[skew_rank(s) for s in row] for row in stack]
+                assert np.array_equal(batched, single)
+                spectra = paired_spectrum(stack)
+                for row, srow in zip(stack, spectra):
+                    for s, lam in zip(row, srow):
+                        assert np.array_equal(lam, paired_spectrum(s))
+
+    def test_single_matrix_needs_two_dimensions(self):
+        with pytest.raises(ValueError, match="square"):
+            skew_rank(np.zeros((2, 3, 3)))
 
 
 class TestSkewRank:

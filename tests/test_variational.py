@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from parea.cli import main
 from parea.grids import (
     ScalarField,
     VectorField,
@@ -25,6 +26,7 @@ from parea.variational import (
     skew_transform,
     uniqueness_audit,
 )
+from parea.fieldio import write_field
 from parea.horizontal import curl_matrix
 from parea.scenarios import (
     builtin_scenario,
@@ -295,6 +297,42 @@ class TestPointwiseRank:
         d = build_domain(2, [0, 0], [1, 1], [5, 5])
         h = curl_matrix(VectorField(d, np.zeros((2,) + d.counts)))
         assert np.all(pointwise_skew_rank(h) == 0)
+
+
+def rank2_linear_field(m, n=5, seed=3):
+    """F = A x with a generic rank-2 skew A; its curl -2A is rank 2 everywhere."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(m), rng.standard_normal(m)
+    mat = np.outer(a, b) - np.outer(b, a)
+    d = build_domain(m, [-1.0] * m, [1.0] * m, [n] * m)
+    x = np.stack(d.meshes())
+    return VectorField(d, np.einsum("jk,k...->j...", mat, x))
+
+
+@pytest.mark.parametrize("m", [4, 6])
+class TestRankTwoCurl:
+    def test_pointwise_rank_two(self, m):
+        f = rank2_linear_field(m)
+        assert np.all(pointwise_skew_rank(curl_matrix(f)) == 2)
+
+    def test_audit_never_flags_rank_condition(self, m):
+        f = rank2_linear_field(m)
+        d = f.domain
+        u = ScalarField(d, d.meshes()[0] * d.meshes()[1])
+        v = ScalarField(d, u.values + 1e-2 * interior_bump(d).values)
+        report = uniqueness_audit(u, v, f, None, pairwise_rotation(m))
+        assert report.joint_mask_fraction < 1.0
+        assert report.rank_condition_fraction == 0.0
+
+    def test_rank_analysis_reports_rank_two(self, m, tmp_path):
+        write_field(rank2_linear_field(m), tmp_path / "f.pfld")
+        out = tmp_path / "out"
+        assert main(["rank-analysis", "--f", str(tmp_path / "f.pfld"),
+                     "--out", str(out)]) == 0
+        summary = dict(line.split(",", 1) for line in
+                       (out / "summary.csv").read_text().splitlines()[1:])
+        assert summary["rank_min"] == "2"
+        assert summary["rank_max"] == "2"
 
 
 class TestUniquenessAudit:
