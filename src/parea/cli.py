@@ -13,24 +13,13 @@ import argparse
 from .runner import (
     CONFIG_FIELDS,
     INPUT_KEYS,
+    PIPELINES,
     ConfigError,
     ExitCode,
     config_from_mapping,
     load_config,
     run,
 )
-
-_OPERATIONS = (
-    "evaluate",
-    "minimize",
-    "check-integrability",
-    "reconstruct",
-    "rank-analysis",
-    "audit-uniqueness",
-    "scenario",
-    "variation-profile",
-)
-
 
 class _ParserError(Exception):
     pass
@@ -71,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "area functionals on grid domains")
     sub = parser.add_subparsers(dest="operation", required=True,
                                 parser_class=_Parser)
-    for op in _OPERATIONS:
+    for op in PIPELINES:
         p = sub.add_parser(op)
         if op == "scenario":
             p.add_argument("name", help="scenario name, e.g. example_2_2 or "

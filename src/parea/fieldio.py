@@ -233,20 +233,6 @@ def read_field(source):
     return Alternating3Field(domain, blocks)
 
 
-def read_scalar(source) -> ScalarField:
-    field = read_field(source)
-    if not isinstance(field, ScalarField):
-        raise FieldFormatError(f"{source}: expected a scalar field")
-    return field
-
-
-def read_vector(source) -> VectorField:
-    field = read_field(source)
-    if not isinstance(field, VectorField):
-        raise FieldFormatError(f"{source}: expected a vector field")
-    return field
-
-
 def _csv_columns(field) -> tuple[list[str], list[np.ndarray]]:
     if isinstance(field, ScalarField):
         return ["value"], [field.values]

@@ -48,10 +48,6 @@ class GridDomain:
         return len(self.counts)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.counts
-
-    @property
     def spacing(self) -> tuple[float, ...]:
         return tuple(
             (u - l) / (n - 1) for l, u, n in zip(self.lower, self.upper, self.counts)
@@ -145,10 +141,6 @@ class ScalarField:
         self.domain = domain
         self.values = arr
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.ravel(order="C")
-
     def __repr__(self):
         return f"ScalarField(shape={self.domain.counts})"
 
@@ -168,10 +160,6 @@ class VectorField:
 
     def component(self, k: int) -> ScalarField:
         return ScalarField(self.domain, self.values[k])
-
-    @property
-    def components(self) -> tuple[ScalarField, ...]:
-        return tuple(self.component(k) for k in range(self.domain.m))
 
     def norm(self) -> ScalarField:
         """Pointwise Euclidean norm."""
@@ -394,11 +382,18 @@ def axis_derivative_adjoint(domain: GridDomain, values: np.ndarray,
     return _apply_axis_matrix(derivative_matrix(domain, axis).T, values, axis)
 
 
+def gradient_values(domain: GridDomain, values: np.ndarray) -> np.ndarray:
+    """The per-axis stencils of an array of shape domain.counts, stacked:
+    out[k] = axis_derivative(domain, values, k), shape (m, *counts)."""
+    out = np.empty((domain.m,) + domain.counts)
+    for k in range(domain.m):
+        out[k] = axis_derivative(domain, values, k)
+    return out
+
+
 def gradient(f: ScalarField) -> VectorField:
     """Second-order discrete gradient; exact on per-axis quadratics."""
-    domain = f.domain
-    comps = [axis_derivative(domain, f.values, k) for k in range(domain.m)]
-    return VectorField(domain, np.stack(comps))
+    return VectorField(f.domain, gradient_values(f.domain, f.values))
 
 
 def divergence(v: VectorField) -> ScalarField:

@@ -25,8 +25,8 @@ from .grids import (
     SkewField,
     VectorField,
     axis_derivative,
-    field_scale,
     gradient,
+    gradient_values,
     integrate_values,
     pair_indices,
     require_same_domain,
@@ -35,34 +35,42 @@ from .grids import (
 DEFAULT_SINGULAR_TOL = 1e-6
 
 
+def _horizontal(w: ScalarField, f: VectorField
+                ) -> tuple[GridDomain, np.ndarray, np.ndarray]:
+    """The shared kernel: grad(w) + F, shape (m, *counts), and its pointwise
+    norm D."""
+    domain = require_same_domain(w, f)
+    hat = gradient_values(domain, w.values) + f.values
+    return domain, hat, np.sqrt(np.sum(hat ** 2, axis=0))
+
+
 def weight(w: ScalarField, f: VectorField) -> ScalarField:
     """Pointwise Euclidean norm of grad(w) + F (nonnegative)."""
-    domain = require_same_domain(w, f)
-    g = gradient(w)
-    return ScalarField(domain, np.sqrt(np.sum((g.values + f.values) ** 2, axis=0)))
+    domain, _, d = _horizontal(w, f)
+    return ScalarField(domain, d)
+
+
+def _singular_flags(d: np.ndarray, tau: float) -> np.ndarray:
+    """Nodes where D < tau * field_scale(D), i.e. tau * max(1, max D) since D >= 0."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    return d < tau * max(1.0, float(d.max()))
 
 
 def singular_set(w: ScalarField, f: VectorField,
                  tau: float = DEFAULT_SINGULAR_TOL) -> SingularMask:
-    """Flag nodes where the weight drops below tau * field_scale(weight)."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    d = weight(w, f)
-    flags = d.values < tau * field_scale(d)
-    return SingularMask(d.domain, flags, tau)
+    """Flag nodes where the weight drops below tau * field_scale(weight);
+    the mask of `horizontal_normal`."""
+    domain, _, d = _horizontal(w, f)
+    return SingularMask(domain, _singular_flags(d, tau), tau)
 
 
 def horizontal_normal(w: ScalarField, f: VectorField,
                       tau: float = DEFAULT_SINGULAR_TOL
                       ) -> tuple[VectorField, SingularMask]:
     """Unit field (grad(w) + F)/|grad(w) + F|; zero (and flagged) on the mask."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    domain = require_same_domain(w, f)
-    g = gradient(w)
-    hat = g.values + f.values
-    d = np.sqrt(np.sum(hat ** 2, axis=0))
-    flags = d < tau * max(1.0, float(d.max()))
+    domain, hat, d = _horizontal(w, f)
+    flags = _singular_flags(d, tau)
     safe = np.where(flags, 1.0, d)
     nu = np.where(flags, 0.0, hat / safe)
     return VectorField(domain, nu), SingularMask(domain, flags, tau)
@@ -71,12 +79,12 @@ def horizontal_normal(w: ScalarField, f: VectorField,
 def curl_matrix(f: VectorField) -> SkewField:
     """Skew matrix field with entries d_i F_j - d_j F_i."""
     domain = f.domain
-    entries = [
-        axis_derivative(domain, f.values[j], i) - axis_derivative(domain, f.values[i], j)
-        for i, j in pair_indices(domain.m)
-    ]
-    return SkewField(domain, np.stack(entries) if entries else
-                     np.zeros((0,) + domain.counts))
+    pairs = pair_indices(domain.m)
+    entries = np.empty((len(pairs),) + domain.counts)
+    for p, (i, j) in enumerate(pairs):
+        entries[p] = (axis_derivative(domain, f.values[j], i)
+                      - axis_derivative(domain, f.values[i], j))
+    return SkewField(domain, entries)
 
 
 def tangential_derivative(nu: VectorField, f: ScalarField) -> VectorField:
@@ -89,11 +97,9 @@ def tangential_derivative(nu: VectorField, f: ScalarField) -> VectorField:
 
 def _component_gradients(domain: GridDomain, values: np.ndarray) -> np.ndarray:
     """dnu[i, j] = d_i values[j]; shape (m, m, *counts)."""
-    m = domain.m
-    out = np.empty((m, m) + domain.counts)
-    for j in range(m):
-        for i in range(m):
-            out[i, j] = axis_derivative(domain, values[j], i)
+    out = np.empty((domain.m,) + values.shape)
+    for j, component in enumerate(values):
+        out[:, j] = gradient_values(domain, component)
     return out
 
 
@@ -109,16 +115,14 @@ def _curl_identity_residual(domain: GridDomain, nu: np.ndarray, d: np.ndarray,
     hmat = h.dense()
     s = np.einsum("k...,ik...->i...", nu, hmat)
     safe_d = np.where(mask, 1.0, d) if mask is not None else d
-    entries = []
-    for i, j in pair_indices(domain.m):
+    out = np.empty_like(h.entries)
+    for p, (i, j) in enumerate(pair_indices(domain.m)):
         lhs = dnu[i, j] - dnu[j, i] - nu[i] * c[j] + nu[j] * c[i]
-        rhs = (hmat[i, j] - nu[j] * s[i] + nu[i] * s[j]) / safe_d
-        res = lhs - rhs
-        if mask is not None:
-            res = np.where(mask, 0.0, res)
-        entries.append(res)
-    return SkewField(domain, np.stack(entries) if entries else
-                     np.zeros((0,) + domain.counts))
+        rhs = (h.entries[p] - nu[j] * s[i] + nu[i] * s[j]) / safe_d
+        out[p] = lhs - rhs
+    if mask is not None:
+        out[:, mask] = 0.0
+    return SkewField(domain, out)
 
 
 def structure_identity_residual(u: ScalarField, f: VectorField,
@@ -129,11 +133,9 @@ def structure_identity_residual(u: ScalarField, f: VectorField,
     inputs with weight bounded below the max residual decays at second
     order under refinement.
     """
-    domain = require_same_domain(u, f)
     nu, mask = horizontal_normal(u, f, tau)
-    d = weight(u, f)
-    h = curl_matrix(f)
-    return _curl_identity_residual(domain, nu.values, d.values, h, mask.flags)
+    return _curl_identity_residual(nu.domain, nu.values, weight(u, f).values,
+                                   curl_matrix(f), mask.flags)
 
 
 @dataclass(frozen=True)

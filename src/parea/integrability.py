@@ -32,9 +32,10 @@ from .grids import (
     SingularMask,
     SkewField,
     VectorField,
-    axis_derivative,
     divergence,
     field_scale,
+    gradient_values,
+    pair_indices,
     require_same_domain,
     triple_indices,
 )
@@ -42,6 +43,7 @@ from .horizontal import (
     DEFAULT_SINGULAR_TOL,
     _component_gradients,
     _curl_identity_residual,
+    _pointwise_magnitude,
     curl_matrix,
     horizontal_normal,
 )
@@ -56,17 +58,20 @@ class IntegrabilityLabel(IntEnum):
 
 
 def frobenius_tensor(nu: VectorField, f: VectorField) -> Alternating3Field:
-    """T_kij = nu_k h_ij + nu_i h_jk + nu_j h_ki on increasing triples."""
+    """T_kij = nu_k h_ij + nu_i h_jk + nu_j h_ki on increasing triples.
+
+    For k < i < j the curl entries are read from the upper triangle as
+    h_ij - h_kj + h_ki, and the sign is exact in floating point."""
     domain = require_same_domain(nu, f)
-    h = curl_matrix(f)
+    e = curl_matrix(f).entries
+    pos = {pair: p for p, pair in enumerate(pair_indices(domain.m))}
     v = nu.values
-    entries = [
-        v[k] * h.entry(i, j) + v[i] * h.entry(j, k) + v[j] * h.entry(k, i)
-        for k, i, j in triple_indices(domain.m)
-    ]
-    stacked = (np.stack(entries) if entries
-               else np.zeros((0,) + domain.counts))
-    return Alternating3Field(domain, stacked)
+    triples = triple_indices(domain.m)
+    entries = np.empty((len(triples),) + domain.counts)
+    for t, (k, i, j) in enumerate(triples):
+        entries[t] = v[k] * e[pos[i, j]] - v[i] * e[pos[k, j]] + v[j] * e[pos[k, i]]
+    del e  # free the curl before the field copies the entries
+    return Alternating3Field(domain, entries)
 
 
 @dataclass(frozen=True)
@@ -86,11 +91,6 @@ class ClassificationField:
     def fraction(self, label: IntegrabilityLabel) -> float:
         return float(np.mean(self.labels == int(label)))
 
-    @property
-    def all_nonintegrable_off_mask(self) -> bool:
-        off = self.labels != int(IntegrabilityLabel.SINGULAR)
-        return bool(np.all(self.labels[off] == int(IntegrabilityLabel.NONINTEGRABLE)))
-
 
 def classify_integrability(w: ScalarField, f: VectorField,
                            tau: float = DEFAULT_SINGULAR_TOL,
@@ -104,14 +104,10 @@ def classify_integrability(w: ScalarField, f: VectorField,
     """
     if not (tau > 0 and eta > 0):
         raise ValueError("tau and eta must be positive")
-    domain = require_same_domain(w, f)
-    nu, mask = horizontal_normal(w, f, tau)
+    nu, mask = horizontal_normal(w, f, tau)  # checks that w and f share a domain
     tensor = frobenius_tensor(nu, f)
-    if tensor.entries.shape[0] == 0:
-        tmax = np.zeros(domain.counts)
-    else:
-        tmax = np.max(np.abs(tensor.entries), axis=0)
-    scale = field_scale(tensor)
+    tmax = _pointwise_magnitude(tensor)
+    scale = field_scale(tmax)  # the max-norm of the tensor, read off tmax
     labels = np.where(
         mask.flags,
         int(IntegrabilityLabel.SINGULAR),
@@ -119,7 +115,7 @@ def classify_integrability(w: ScalarField, f: VectorField,
                  int(IntegrabilityLabel.INTEGRABLE),
                  int(IntegrabilityLabel.NONINTEGRABLE)),
     ).astype(np.int8)
-    return ClassificationField(domain=domain, labels=labels, tau=tau, eta=eta,
+    return ClassificationField(domain=nu.domain, labels=labels, tau=tau, eta=eta,
                                normal=nu, mask=mask, tensor=tensor)
 
 
@@ -136,8 +132,16 @@ def tangential_curl_residual(nu: VectorField, d: ScalarField,
     delta_i nu_j - delta_j nu_i = (h_ij - nu_j nu_k h_ik - nu_i nu_k h_kj)/D
     for a prescribed triple (nu, D, F) with D > 0 and nu unit."""
     domain = _check_triple(nu, d, f)
-    h = curl_matrix(f)
-    return _curl_identity_residual(domain, nu.values, d.values, h, None)
+    return _curl_identity_residual(domain, nu.values, d.values, curl_matrix(f), None)
+
+
+def _triple_derivatives(nu: VectorField, d: ScalarField, f: VectorField):
+    """grad(D), dnu[i, j] = d_i nu_j, the dense curl of F and nu . grad(D)
+    for a checked triple, with its domain."""
+    domain = _check_triple(nu, d, f)
+    dd = gradient_values(domain, d.values)
+    return (domain, dd, _component_gradients(domain, nu.values),
+            curl_matrix(f).dense(), np.einsum("i...,i...->...", nu.values, dd))
 
 
 def normal_contraction_residual(nu: VectorField, d: ScalarField,
@@ -146,13 +150,8 @@ def normal_contraction_residual(nu: VectorField, d: ScalarField,
     weighted normal form:
     res_k = nu_k nu_i d_i D - d_k D + nu_j (d_j nu_k - d_k nu_j) D - nu_i h_ik.
     """
-    domain = _check_triple(nu, d, f)
-    m = domain.m
+    domain, dd, dnu, hmat, nu_dot_dd = _triple_derivatives(nu, d, f)
     v = nu.values
-    dd = np.stack([axis_derivative(domain, d.values, k) for k in range(m)])
-    dnu = _component_gradients(domain, v)
-    hmat = curl_matrix(f).dense()
-    nu_dot_dd = np.einsum("i...,i...->...", v, dd)
     # a[k] = nu_j (d_j nu_k - d_k nu_j)
     a = (np.einsum("j...,jk...->k...", v, dnu)
          - np.einsum("j...,kj...->k...", v, dnu))
@@ -166,13 +165,8 @@ def weight_equation_residual(nu: VectorField, d: ScalarField,
                              f: VectorField) -> VectorField:
     """Residual of the first-order system in the weight:
     res_k = delta_k D - nu_j (d_j nu_k) D + nu_j h_jk."""
-    domain = _check_triple(nu, d, f)
-    m = domain.m
+    domain, dd, dnu, hmat, nu_dot_dd = _triple_derivatives(nu, d, f)
     v = nu.values
-    dd = np.stack([axis_derivative(domain, d.values, k) for k in range(m)])
-    dnu = _component_gradients(domain, v)
-    hmat = curl_matrix(f).dense()
-    nu_dot_dd = np.einsum("i...,i...->...", v, dd)
     delta_d = dd - v * nu_dot_dd
     advect = np.einsum("j...,jk...->k...", v, dnu)
     twist = np.einsum("j...,jk...->k...", v, hmat)

@@ -23,7 +23,6 @@ from .grids import (
     VectorField,
     derivative_matrix,
     field_scale,
-    gradient,
     require_same_domain,
 )
 from .horizontal import DEFAULT_SINGULAR_TOL, curl_matrix, horizontal_normal, weight

@@ -17,17 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .fieldio import FieldFormatError, format_real, read_field, write_csv, write_field
+from .fieldio import format_real, read_field, write_csv, write_field
 from .grids import ScalarField, VectorField
-from .horizontal import curl_matrix, singular_set, singular_stats, weight, horizontal_normal
-from .integrability import IntegrabilityLabel, classify_integrability, renormalize_normal
+from .horizontal import (DEFAULT_SINGULAR_TOL, curl_matrix, horizontal_normal,
+                         singular_set, singular_stats, weight)
+from .integrability import (DEFAULT_CLASSIFY_TOL, IntegrabilityLabel,
+                            classify_integrability, renormalize_normal)
 from .reconstruction import (
+    DEFAULT_CLOSEDNESS_TOL,
     NotClosedError,
     candidate_gradient,
     integrate_potential,
     verify_normal,
 )
-from .scenarios import UnknownScenarioError, builtin_scenario, seeded_init
+from .scenarios import builtin_scenario, seeded_init
 from .variational import (
     MinimizeOptions,
     SolverDivergenceError,
@@ -197,7 +200,7 @@ def _derive_normal_weight(data: dict):
 
 
 def _tau(config: ExperimentConfig) -> float:
-    return config.tol if config.tol is not None else 1e-6
+    return config.tol if config.tol is not None else DEFAULT_SINGULAR_TOL
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +296,7 @@ def _run_check_integrability(config: ExperimentConfig, out: Path) -> ExitCode:
     data = _resolve_inputs(config)
     w = _need(data, "u", "check-integrability")
     f = _need(data, "f", "check-integrability")
-    eta = config.eta if config.eta is not None else 1e-4
+    eta = config.eta if config.eta is not None else DEFAULT_CLASSIFY_TOL
     labels = classify_integrability(w, f, _tau(config), eta)
     tensor = labels.tensor
     label_field = ScalarField(w.domain, labels.labels.astype(float))
@@ -317,7 +320,7 @@ def _run_reconstruct(config: ExperimentConfig, out: Path) -> ExitCode:
     nu, d = _derive_normal_weight(data)
     u_candidate = candidate_gradient(nu, d, f)
     write_field(u_candidate, out / "candidate.pfld")
-    tol = config.tol if config.tol is not None else 1e-3
+    tol = config.tol if config.tol is not None else DEFAULT_CLOSEDNESS_TOL
     result = integrate_potential(u_candidate, base=config.base, tol=tol,
                                  method=config.method)
     check = verify_normal(result.field, nu, d, f)
@@ -360,7 +363,7 @@ def _run_audit(config: ExperimentConfig, out: Path) -> ExitCode:
     f = _need(data, "f", "audit-uniqueness")
     h = data.get("h")
     a = data.get("a") or pairwise_rotation(f.domain.m)
-    eta = config.eta if config.eta is not None else 1e-4
+    eta = config.eta if config.eta is not None else DEFAULT_CLASSIFY_TOL
     report = uniqueness_audit(u, v, f, h, a, _tau(config), eta)
     rows = [
         ("normal_max", report.normal_max),
@@ -402,21 +405,22 @@ def _run_variation_profile(config: ExperimentConfig, out: Path) -> ExitCode:
     return ExitCode.OK
 
 
-_PIPELINES = {
-    "scenario": _run_scenario,
+# One entry per operation; the CLI makes one subcommand of each, in this order.
+PIPELINES = {
     "evaluate": _run_evaluate,
     "minimize": _run_minimize,
     "check-integrability": _run_check_integrability,
     "reconstruct": _run_reconstruct,
     "rank-analysis": _run_rank_analysis,
     "audit-uniqueness": _run_audit,
+    "scenario": _run_scenario,
     "variation-profile": _run_variation_profile,
 }
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute one pipeline; returns the process exit code."""
-    pipeline = _PIPELINES.get(config.operation)
+    pipeline = PIPELINES.get(config.operation)
     if pipeline is None:
         print(f"error: unknown operation {config.operation!r}")
         return int(ExitCode.CONFIG_ERROR)
@@ -430,10 +434,8 @@ def run(config: ExperimentConfig) -> int:
     except SolverDivergenceError as exc:
         print(f"solver diverged: {exc}")
         return int(ExitCode.SOLVER_FAILURE)
-    except (ConfigError, FieldFormatError, UnknownScenarioError, OSError) as exc:
-        print(f"error: {exc}")
-        return int(ExitCode.CONFIG_ERROR)
-    except ValueError as exc:
+    # ConfigError, FieldFormatError and UnknownScenarioError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}")
         return int(ExitCode.CONFIG_ERROR)
     return int(code)

@@ -23,20 +23,21 @@ from .fieldio import format_real
 from .grids import (
     ScalarField,
     VectorField,
-    axis_derivative,
     axis_derivative_adjoint,
     divergence,
     field_scale,
     gradient,
+    gradient_values,
     integrate_values,
     quadrature_weights,
     require_same_domain,
 )
 from .horizontal import (
     DEFAULT_SINGULAR_TOL,
+    _horizontal,
+    _singular_flags,
     curl_matrix,
     horizontal_normal,
-    singular_set,
     weight,
 )
 from .integrability import DEFAULT_CLASSIFY_TOL, IntegrabilityLabel, classify_integrability
@@ -72,7 +73,7 @@ def pairwise_rotation(m: int) -> SkewCoefficients:
     """The block rotation coefficients a[2j,2j+1] = 1 = -a[2j+1,2j] that send
     (G_1, G_2, ...) to (G_2, -G_1, G_4, -G_3, ...); m must be even."""
     if m % 2 != 0:
-        raise ValueError("pairwise rotation needs even m")
+        raise ValueError(f"the default pairwise rotation needs even m, got m={m}")
     a = np.zeros((m, m))
     for j in range(m // 2):
         a[2 * j, 2 * j + 1] = 1.0
@@ -186,17 +187,21 @@ class SolverDivergenceError(RuntimeError):
             f"step={step:.3g}, objective={objective:.12g}, residual={residual:.3g}")
 
 
+# Line-search step control: sufficient-decrease factor, shrink factor, the step
+# below which a stage has diverged, first step as a share of field_scale(u)/|grad|.
+_ARMIJO = 1e-4
+_SHRINK = 0.5
+_MIN_STEP = 1e-18
+_INITIAL_STEP_SCALE = 0.1
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Continuation schedule and step control for the smoothed descent."""
+    """Continuation schedule and stopping rule for the smoothed descent."""
 
     eps_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     max_iterations: int = 25000
     first_order_tol: float = 1e-5
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    min_step: float = 1e-18
-    initial_step_scale: float = 0.1
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_schedule)
@@ -206,8 +211,6 @@ class MinimizeOptions:
             raise ValueError("eps schedule must be strictly decreasing")
         if eps[-1] > 1e-6:
             raise ValueError("final eps must be <= 1e-6")
-        if not (0 < self.shrink < 1 and 0 < self.armijo < 1):
-            raise ValueError("bad step control parameters")
         object.__setattr__(self, "eps_schedule", eps)
 
 
@@ -247,13 +250,8 @@ class _SmoothedObjective:
         self.weights = quadrature_weights(self.domain)
         self.boundary = self.domain.boundary_mask()
 
-    def _shifted_gradient(self, u: np.ndarray) -> np.ndarray:
-        g = np.stack([axis_derivative(self.domain, u, k)
-                      for k in range(self.domain.m)])
-        return g + self.f_values
-
     def value_and_grad(self, u: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
-        p = self._shifted_gradient(u)
+        p = gradient_values(self.domain, u) + self.f_values
         s = np.sqrt(np.sum(p * p, axis=0) + eps * eps)
         total = s if self.h_values is None else s + self.h_values * u
         value = float(np.sum(self.weights * total))
@@ -325,14 +323,14 @@ def minimize(f: VectorField, h: ScalarField | None, boundary: ScalarField,
                     step = float(np.sum(prev_du * prev_du)) / denom
                 # else keep the previous accepted step
             if step is None or not np.isfinite(step) or step <= 0:
-                step = opts.initial_step_scale * field_scale(u) / np.sqrt(gnorm2)
+                step = _INITIAL_STEP_SCALE * field_scale(u) / np.sqrt(gnorm2)
             while True:
                 trial = u - step * grad
                 trial_value, trial_grad = obj.value_and_grad(trial, eps)
-                if trial_value <= value - opts.armijo * step * gnorm2:
+                if trial_value <= value - _ARMIJO * step * gnorm2:
                     break
-                step *= opts.shrink
-                if step < opts.min_step:
+                step *= _SHRINK
+                if step < _MIN_STEP:
                     raise SolverDivergenceError(eps=eps, iteration=it, step=step,
                                                 objective=value, residual=res)
             prev_du = trial - u
@@ -406,13 +404,17 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     inner product |< (grad(u_eps) + F)^a , grad(v) - grad(u) >| (the pointwise
     sup of the integrand is reported alongside)."""
     domain = require_same_domain(u, v, f)
-    # ranks first: the dense curl stack is freed before the two
-    # classifications (and their tensors) exist, which keeps the peak lower
+    # ranks first, so the dense curl stack is freed before any Frobenius
+    # tensor exists; each tensor is dropped once its labels are read
     ranks = pointwise_skew_rank(curl_matrix(f))
-    cls_u = classify_integrability(u, f, tau, eta)
-    cls_v = classify_integrability(v, f, tau, eta)
-    nu_u, nu_v = cls_u.normal, cls_v.normal
-    joint = cls_u.mask.flags | cls_v.mask.flags
+
+    def classified(w):
+        cls = classify_integrability(w, f, tau, eta)
+        return cls.labels, cls.normal, cls.mask.flags
+
+    labels_u, nu_u, mask_u = classified(u)
+    labels_v, nu_v, mask_v = classified(v)
+    joint = mask_u | mask_v
     off = ~joint
 
     normal_diff = np.sqrt(np.sum((nu_u.values - nu_v.values) ** 2, axis=0))
@@ -424,8 +426,7 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     rank_flags = (ranks >= 3) & off
 
     nonintegrable = int(IntegrabilityLabel.NONINTEGRABLE)
-    noninteg = ((cls_u.labels == nonintegrable)
-                | (cls_v.labels == nonintegrable)) & off
+    noninteg = ((labels_u == nonintegrable) | (labels_v == nonintegrable)) & off
 
     db = skew_divergence(f, a).values
     db_tol = 1e-12 * field_scale(db)
@@ -440,12 +441,12 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     eps_masks = []
     for e in (0.0, 0.5, 1.0):
         ue = ScalarField(domain, u.values + e * (v.values - u.values))
-        ge = gradient(ue).values
-        transformed = np.einsum("jk,k...->j...", a.matrix, ge + f.values)
+        _, shifted, d = _horizontal(ue, f)  # one kernel for the transform and the mask
+        transformed = skew_transform(VectorField(domain, shifted), a).values
         dots = np.einsum("k...,k...->...", transformed, direction)
         ortho = max(ortho, abs(float(np.sum(weights_arr * dots))))
         ortho_pointwise = max(ortho_pointwise, float(np.max(np.abs(dots))))
-        eps_masks.append((e, singular_set(ue, f, tau).fraction))
+        eps_masks.append((e, float(_singular_flags(d, tau).mean())))
 
     gap = abs(functional(u, f, h) - functional(v, f, h))
 

@@ -129,6 +129,31 @@ class TestOtherPipelines:
         assert float(audit["normal_max"]) <= 1e-12
         assert float(audit["rank_condition_fraction"]) == 0.0
 
+    def test_audit_odd_m_names_the_cause(self, tmp_path, capsys):
+        d = build_domain(3, [0.0] * 3, [1.0] * 3, [5] * 3)
+        u = sample(d, lambda x, y, z: x * y)
+        v = sample(d, lambda x, y, z: x * y + z)
+        f = sample_vector(d, [lambda x, y, z: -y, lambda x, y, z: x,
+                              lambda x, y, z: 0 * z])
+        for name, fld in (("u", u), ("v", v), ("f", f)):
+            write_field(fld, tmp_path / f"{name}.pfld")
+        code = run_cli("audit-uniqueness", *(f"--{k}={tmp_path / k}.pfld" for k in "uvf"),
+                       "--out", str(tmp_path / "out"))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        message = capsys.readouterr().out
+        assert "default pairwise rotation needs even m" in message
+        assert "m=3" in message
+
+    def test_every_pipeline_is_a_subcommand(self):
+        from parea.runner import PIPELINES
+
+        parser = parea.cli.build_parser()
+        for op in PIPELINES:
+            args = parser.parse_args([op, "name"] if op == "scenario" else [op])
+            assert args.operation == op
+        with pytest.raises(parea.cli._ParserError):
+            parser.parse_args(["no-such-operation"])
+
     def test_variation_profile(self, tmp_path):
         code = run_cli("variation-profile", "--scenario", "example_2_2",
                        "--eps-points", "5", "--out", str(tmp_path))

@@ -4,9 +4,11 @@ import pytest
 from parea.grids import (
     ScalarField,
     VectorField,
+    axis_derivative,
     build_domain,
     field_scale,
     gradient,
+    pair_indices,
     sample,
     sample_vector,
 )
@@ -76,6 +78,38 @@ class TestSingularSet:
         d, f, u = rotation_pair(n=9)
         with pytest.raises(ValueError):
             singular_set(u, f, 0.0)
+
+
+def seeded_pair(m, n, seed):
+    """A smooth (u, F) pair, and the same u with F = -grad(u) on the lower
+    half of the first axis, so the singular mask is neither empty nor full."""
+    d = build_domain(m, [-1.0] * m, [1.0] * m, [n] * m)
+    u = random_smooth_scalar(d, seed, 2)
+    f = random_smooth_field(d, seed + 100, 2)
+    cancel = np.where(d.meshes()[0] < 0, -gradient(u).values, f.values)
+    return u, f, VectorField(d, cancel)
+
+
+@pytest.mark.parametrize("m, n", [(2, 17), (3, 9), (4, 6)])
+@pytest.mark.parametrize("seed", range(4))
+class TestOneKernel:
+    def test_singular_set_is_the_normal_mask(self, m, n, seed):
+        u, f, g = seeded_pair(m, n, seed)
+        for field in (f, g):
+            for tau in (1e-6, 1e-2, 0.5):
+                mask = singular_set(u, field, tau)
+                _, normal_mask = horizontal_normal(u, field, tau)
+                assert np.array_equal(mask.flags, normal_mask.flags)
+                assert mask.threshold == normal_mask.threshold
+                # the definition it replaces: D < tau * field_scale(D)
+                d = weight(u, field)
+                assert np.array_equal(mask.flags, d.values < tau * field_scale(d))
+
+    def test_weight_is_norm_of_shifted_gradient(self, m, n, seed):
+        u, f, g = seeded_pair(m, n, seed)
+        for field in (f, g):
+            expected = np.sqrt(np.sum((gradient(u).values + field.values) ** 2, axis=0))
+            assert np.array_equal(weight(u, field).values, expected)
 
 
 class TestHorizontalNormal:
@@ -184,7 +218,36 @@ class TestTangentialDerivative:
         assert np.array_equal(out.values[1], np.ones(d.counts))
 
 
+def reference_identity_residual(u, f, tau=1e-6):
+    """The structure identity residual built pair by pair, node stencil by
+    node stencil: the reference for the batched form."""
+    d = u.domain
+    nu, mask = horizontal_normal(u, f, tau)
+    v, flags = nu.values, mask.flags
+    dnu = np.empty((d.m, d.m) + d.counts)
+    for i in range(d.m):
+        for j in range(d.m):
+            dnu[i, j] = axis_derivative(d, v[j], i)
+    c = np.einsum("k...,kj...->j...", v, dnu)
+    h = curl_matrix(f)
+    s = np.einsum("k...,ik...->i...", v, h.dense())
+    safe_d = np.where(flags, 1.0, weight(u, f).values)
+    out = []
+    for i, j in pair_indices(d.m):
+        lhs = dnu[i, j] - dnu[j, i] - v[i] * c[j] + v[j] * c[i]
+        rhs = (h.entry(i, j) - v[j] * s[i] + v[i] * s[j]) / safe_d
+        out.append(np.where(flags, 0.0, lhs - rhs))
+    return np.stack(out)
+
+
 class TestStructureIdentity:
+    @pytest.mark.parametrize("m, n", [(2, 17), (3, 9), (4, 6)])
+    def test_matches_pairwise_reference(self, m, n):
+        u, f, g = seeded_pair(m, n, 7)
+        for field in (f, g):
+            assert np.array_equal(structure_identity_residual(u, field).entries,
+                                  reference_identity_residual(u, field))
+
     def test_bilinear_pair_tiny_residual(self):
         d, f, u = rotation_pair()
         res = structure_identity_residual(u, f)

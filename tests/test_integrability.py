@@ -9,8 +9,9 @@ from parea.grids import (
     gradient,
     sample,
     sample_vector,
+    triple_indices,
 )
-from parea.horizontal import horizontal_normal, weight
+from parea.horizontal import curl_matrix, horizontal_normal, weight
 from parea.integrability import (
     IntegrabilityLabel,
     classify_integrability,
@@ -57,6 +58,16 @@ class TestFrobeniusTensor:
         for (k, i, j) in t.triples:
             expected = 2.0 if (k, i, j) == (0, 2, 3) else 0.0
             assert np.array_equal(t.entry(k, i, j), np.full(d.counts, expected))
+
+    @pytest.mark.parametrize("m, n", [(3, 9), (4, 6), (6, 5)])
+    def test_matches_entry_formula(self, m, n):
+        d = unit_box(m, n)
+        f = random_smooth_field(d, 11, 2)
+        nu, _ = horizontal_normal(random_smooth_scalar(d, 12, 2), f)
+        h, v = curl_matrix(f), nu.values
+        expected = [v[k] * h.entry(i, j) + v[i] * h.entry(j, k) + v[j] * h.entry(k, i)
+                    for k, i, j in triple_indices(m)]
+        assert np.array_equal(frobenius_tensor(nu, f).entries, np.stack(expected))
 
     def test_gradient_field_vanishes(self):
         d = unit_box(3, 9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,8 @@ from parea.variational import (
     uniqueness_audit,
 )
 from parea.fieldio import write_field
-from parea.horizontal import curl_matrix
+from parea.horizontal import curl_matrix, horizontal_normal
+from parea.integrability import frobenius_tensor
 from parea.scenarios import (
     builtin_scenario,
     heisenberg_field,
@@ -386,3 +389,42 @@ class TestUniquenessAudit:
         joint = report.joint_mask_fraction
         assert report.rank_condition_fraction == pytest.approx(1.0 - joint)
         assert report.orthogonality_residual <= 1e-4
+
+
+class TestPeakMemory:
+    """tracemalloc peaks at m = 6 on 5^6 nodes, in units of one Frobenius
+    tensor (20 entries per node). Building the tensor through a list,
+    np.stack and the field's copy held it three times at once (3.9 units);
+    one preallocated fill leaves the fill and the copy (2.1). The audit kept
+    both candidates' tensors through its eps loop (5.6 units); its peak is
+    now the rank step (3.6)."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        d = build_domain(6, [-1.0] * 6, [1.0] * 6, [5] * 6)
+        f = heisenberg_field(d)
+        u = random_smooth_scalar(d, 1, 2)
+        v = random_smooth_scalar(d, 2, 2)
+        return u, v, f, 20 * d.node_count * 8
+
+    @staticmethod
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        return peak - before
+
+    def test_frobenius_tensor_peak(self, fields):
+        u, _, f, tensor_bytes = fields
+        nu, _ = horizontal_normal(u, f)
+        assert self.peak(lambda: frobenius_tensor(nu, f)) <= 2.75 * tensor_bytes
+
+    def test_uniqueness_audit_peak(self, fields):
+        u, v, f, tensor_bytes = fields
+        a = pairwise_rotation(6)
+        assert self.peak(lambda: uniqueness_audit(u, v, f, None, a)) <= 4.5 * tensor_bytes
