@@ -65,15 +65,23 @@ def singular_set(w: ScalarField, f: VectorField,
     return SingularMask(domain, _singular_flags(d, tau), tau)
 
 
-def horizontal_normal(w: ScalarField, f: VectorField,
-                      tau: float = DEFAULT_SINGULAR_TOL
-                      ) -> tuple[VectorField, SingularMask]:
-    """Unit field (grad(w) + F)/|grad(w) + F|; zero (and flagged) on the mask."""
+def _normal_and_weight(w: ScalarField, f: VectorField,
+                       tau: float = DEFAULT_SINGULAR_TOL
+                       ) -> tuple[VectorField, SingularMask, np.ndarray]:
+    """`horizontal_normal` and the weight D, from one `_horizontal` call."""
     domain, hat, d = _horizontal(w, f)
     flags = _singular_flags(d, tau)
     safe = np.where(flags, 1.0, d)
     nu = np.where(flags, 0.0, hat / safe)
-    return VectorField(domain, nu), SingularMask(domain, flags, tau)
+    return VectorField(domain, nu), SingularMask(domain, flags, tau), d
+
+
+def horizontal_normal(w: ScalarField, f: VectorField,
+                      tau: float = DEFAULT_SINGULAR_TOL
+                      ) -> tuple[VectorField, SingularMask]:
+    """Unit field (grad(w) + F)/|grad(w) + F|; zero (and flagged) on the mask."""
+    nu, mask, _ = _normal_and_weight(w, f, tau)
+    return nu, mask
 
 
 def curl_matrix(f: VectorField) -> SkewField:
@@ -133,9 +141,8 @@ def structure_identity_residual(u: ScalarField, f: VectorField,
     inputs with weight bounded below the max residual decays at second
     order under refinement.
     """
-    nu, mask = horizontal_normal(u, f, tau)
-    return _curl_identity_residual(nu.domain, nu.values, weight(u, f).values,
-                                   curl_matrix(f), mask.flags)
+    nu, mask, d = _normal_and_weight(u, f, tau)
+    return _curl_identity_residual(nu.domain, nu.values, d, curl_matrix(f), mask.flags)
 
 
 @dataclass(frozen=True)

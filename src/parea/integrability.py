@@ -43,7 +43,6 @@ from .horizontal import (
     DEFAULT_SINGULAR_TOL,
     _component_gradients,
     _curl_identity_residual,
-    _pointwise_magnitude,
     curl_matrix,
     horizontal_normal,
 )
@@ -57,21 +56,26 @@ class IntegrabilityLabel(IntEnum):
     NONINTEGRABLE = 2
 
 
+def _frobenius_entries(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """T on increasing triples, shape (ntriples, *counts), from the normal's
+    values v and the curl's upper-triangle entries e."""
+    m = v.shape[0]
+    pos = {pair: p for p, pair in enumerate(pair_indices(m))}
+    triples = triple_indices(m)
+    entries = np.empty((len(triples),) + v.shape[1:])
+    for t, (k, i, j) in enumerate(triples):
+        entries[t] = v[k] * e[pos[i, j]] - v[i] * e[pos[k, j]] + v[j] * e[pos[k, i]]
+    return entries
+
+
 def frobenius_tensor(nu: VectorField, f: VectorField) -> Alternating3Field:
     """T_kij = nu_k h_ij + nu_i h_jk + nu_j h_ki on increasing triples.
 
     For k < i < j the curl entries are read from the upper triangle as
     h_ij - h_kj + h_ki, and the sign is exact in floating point."""
     domain = require_same_domain(nu, f)
-    e = curl_matrix(f).entries
-    pos = {pair: p for p, pair in enumerate(pair_indices(domain.m))}
-    v = nu.values
-    triples = triple_indices(domain.m)
-    entries = np.empty((len(triples),) + domain.counts)
-    for t, (k, i, j) in enumerate(triples):
-        entries[t] = v[k] * e[pos[i, j]] - v[i] * e[pos[k, j]] + v[j] * e[pos[k, i]]
-    del e  # free the curl before the field copies the entries
-    return Alternating3Field(domain, entries)
+    # the curl is freed when the fill returns, before the field copies the entries
+    return Alternating3Field(domain, _frobenius_entries(nu.values, curl_matrix(f).entries))
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,23 @@ def classify_integrability(w: ScalarField, f: VectorField,
     residuals of truly integrable data from order-one values at the shipped
     resolutions; it is resolution dependent.
     """
+    labels, nu, mask, entries = _classify(w, f, curl_matrix(f).entries, tau, eta)
+    # the curl is freed by now, before the field copies the tensor entries
+    return ClassificationField(domain=nu.domain, labels=labels, tau=tau, eta=eta,
+                               normal=nu, mask=mask,
+                               tensor=Alternating3Field(nu.domain, entries))
+
+
+def _classify(w: ScalarField, f: VectorField, curl_entries: np.ndarray, tau: float,
+              eta: float) -> tuple[np.ndarray, VectorField, SingularMask, np.ndarray]:
+    """The labels, normal, mask and Frobenius tensor entries of
+    `classify_integrability`, from the curl entries of f, so that a caller
+    holding the curl builds it once."""
     if not (tau > 0 and eta > 0):
         raise ValueError("tau and eta must be positive")
     nu, mask = horizontal_normal(w, f, tau)  # checks that w and f share a domain
-    tensor = frobenius_tensor(nu, f)
-    tmax = _pointwise_magnitude(tensor)
+    entries = _frobenius_entries(nu.values, curl_entries)
+    tmax = np.max(np.abs(entries), axis=0, initial=0.0)  # zeros for m = 2
     scale = field_scale(tmax)  # the max-norm of the tensor, read off tmax
     labels = np.where(
         mask.flags,
@@ -115,8 +131,7 @@ def classify_integrability(w: ScalarField, f: VectorField,
                  int(IntegrabilityLabel.INTEGRABLE),
                  int(IntegrabilityLabel.NONINTEGRABLE)),
     ).astype(np.int8)
-    return ClassificationField(domain=nu.domain, labels=labels, tau=tau, eta=eta,
-                               normal=nu, mask=mask, tensor=tensor)
+    return labels, nu, mask, entries
 
 
 def _check_triple(nu: VectorField, d: ScalarField, f: VectorField) -> GridDomain:

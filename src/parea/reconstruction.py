@@ -25,7 +25,7 @@ from .grids import (
     field_scale,
     require_same_domain,
 )
-from .horizontal import DEFAULT_SINGULAR_TOL, curl_matrix, horizontal_normal, weight
+from .horizontal import DEFAULT_SINGULAR_TOL, _normal_and_weight, curl_matrix
 
 DEFAULT_CLOSEDNESS_TOL = 1e-3
 
@@ -192,12 +192,11 @@ def verify_normal(u: ScalarField, nu: VectorField, d: ScalarField,
     mismatch, both off the singular mask of (u, F). Mismatches are reported,
     never raised."""
     domain = require_same_domain(u, nu, d, f)
-    computed_nu, mask = horizontal_normal(u, f, tau)
-    computed_d = weight(u, f)
+    computed_nu, mask, computed_d = _normal_and_weight(u, f, tau)
     off = ~mask.flags
     diff = np.sqrt(np.sum((computed_nu.values - nu.values) ** 2, axis=0))
     normal_err = float(diff[off].max()) if off.any() else 0.0
-    wdiff = np.abs(computed_d.values - d.values) / field_scale(d)
+    wdiff = np.abs(computed_d - d.values) / field_scale(d)
     weight_err = float(wdiff[off].max()) if off.any() else 0.0
     return NormalCheck(normal_max_error=normal_err,
                        weight_max_error=weight_err,

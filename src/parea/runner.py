@@ -19,7 +19,7 @@ import numpy as np
 
 from .fieldio import format_real, read_field, write_csv, write_field
 from .grids import ScalarField, VectorField
-from .horizontal import (DEFAULT_SINGULAR_TOL, curl_matrix, horizontal_normal,
+from .horizontal import (DEFAULT_SINGULAR_TOL, _normal_and_weight, curl_matrix,
                          singular_set, singular_stats, weight)
 from .integrability import (DEFAULT_CLASSIFY_TOL, IntegrabilityLabel,
                             classify_integrability, renormalize_normal)
@@ -194,8 +194,8 @@ def _derive_normal_weight(data: dict):
     if "nu" in data and "d" in data:
         return data["nu"], data["d"]
     if "u" in data and "f" in data:
-        nu, _ = horizontal_normal(data["u"], data["f"])
-        return nu, weight(data["u"], data["f"])
+        nu, _, d = _normal_and_weight(data["u"], data["f"])
+        return nu, ScalarField(nu.domain, d)
     raise ConfigError("need either (nu, d) or (u, f) to derive the normal")
 
 

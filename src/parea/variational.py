@@ -40,7 +40,7 @@ from .horizontal import (
     horizontal_normal,
     weight,
 )
-from .integrability import DEFAULT_CLASSIFY_TOL, IntegrabilityLabel, classify_integrability
+from .integrability import DEFAULT_CLASSIFY_TOL, IntegrabilityLabel, _classify
 from .skewalg import DEFAULT_RANK_TOL, skew_ranks
 
 
@@ -404,17 +404,16 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     inner product |< (grad(u_eps) + F)^a , grad(v) - grad(u) >| (the pointwise
     sup of the integrand is reported alongside)."""
     domain = require_same_domain(u, v, f)
-    # ranks first, so the dense curl stack is freed before any Frobenius
-    # tensor exists; each tensor is dropped once its labels are read
-    ranks = pointwise_skew_rank(curl_matrix(f))
+    # one curl for the ranks and both classifications; ranks first, so the
+    # dense curl stack is freed before any Frobenius tensor exists, and each
+    # tensor is dropped once its labels are read
+    h_curl = curl_matrix(f)
+    ranks = pointwise_skew_rank(h_curl)
 
-    def classified(w):
-        cls = classify_integrability(w, f, tau, eta)
-        return cls.labels, cls.normal, cls.mask.flags
-
-    labels_u, nu_u, mask_u = classified(u)
-    labels_v, nu_v, mask_v = classified(v)
-    joint = mask_u | mask_v
+    labels_u, nu_u, mask_u = _classify(u, f, h_curl.entries, tau, eta)[:3]
+    labels_v, nu_v, mask_v = _classify(v, f, h_curl.entries, tau, eta)[:3]
+    del h_curl
+    joint = mask_u.flags | mask_v.flags
     off = ~joint
 
     normal_diff = np.sqrt(np.sum((nu_u.values - nu_v.values) ** 2, axis=0))

@@ -22,7 +22,10 @@ from parea.horizontal import (
     tangential_derivative,
     weight,
 )
-from parea.scenarios import random_smooth_field, random_smooth_scalar
+from parea import horizontal as horizontal_module
+from parea.reconstruction import verify_normal
+from parea.runner import _derive_normal_weight
+from parea.scenarios import builtin_scenario, random_smooth_field, random_smooth_scalar
 
 
 def rotation_pair(lower=(0.1, 0.0), upper=(1.0, 1.0), n=33):
@@ -316,3 +319,39 @@ class TestResidualNorms:
         norms = residual_norms(f)
         assert norms.max == 1.0
         assert norms.l1 == pytest.approx(1.0)
+
+
+class TestOneKernelCall:
+    """Callers that need the normal, its mask and the weight of one (u, F)
+    take all three from one `_horizontal` call (they made two)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch, data):  # counts from after the scenario is built
+        count = []
+        kernel = horizontal_module._horizontal
+
+        def counting(w, f):
+            count.append(1)
+            return kernel(w, f)
+
+        monkeypatch.setattr(horizontal_module, "_horizontal", counting)
+        return count
+
+    @pytest.fixture
+    def data(self):
+        return builtin_scenario("smooth_roundtrip").build(17, 0)
+
+    def test_verify_normal(self, calls, data):
+        check = verify_normal(data["u"], data["nu"], data["d"], data["f"])
+        assert check.normal_max_error < 1e-12
+        assert len(calls) == 1
+
+    def test_derive_normal_weight(self, calls, data):
+        nu, d = _derive_normal_weight({"u": data["u"], "f": data["f"]})
+        assert np.array_equal(nu.values, data["nu"].values)
+        assert np.array_equal(d.values, data["d"].values)
+        assert len(calls) == 1
+
+    def test_structure_identity_residual(self, calls, data):
+        structure_identity_residual(data["u"], data["f"])
+        assert len(calls) == 1

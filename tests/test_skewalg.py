@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from parea.skewalg import (
     SkewMatrix,
+    _certified_full_rank,
     alignment_residual,
     paired_spectrum,
     rank2_audit,
@@ -71,6 +72,89 @@ class TestBatchedRank:
     def test_single_matrix_needs_two_dimensions(self):
         with pytest.raises(ValueError, match="square"):
             skew_rank(np.zeros((2, 3, 3)))
+
+
+def svd_ranks(stack, tol):
+    """Reference rank, independent of skewalg: the paired singular values
+    of each matrix above tol * largest, counted twice."""
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    lams = 0.5 * (sigma[..., 0:-1:2] + sigma[..., 1::2])
+    return 2 * np.count_nonzero(lams > tol * lams[..., :1], axis=-1)
+
+
+def skew_with_spectrum(rng, m, lams):
+    """Exactly skew Q B Q^T for random orthogonal Q, where B is block
+    diagonal with the 2 x 2 blocks lam_j [[0, 1], [-1, 0]] of each row of
+    lams (shape (n, floor(m/2)))."""
+    n = len(lams)
+    blocks = np.zeros((n, m, m))
+    for j in range(m // 2):
+        blocks[:, 2 * j, 2 * j + 1] = lams[:, j]
+        blocks[:, 2 * j + 1, 2 * j] = -lams[:, j]
+    q, _ = np.linalg.qr(rng.standard_normal((n, m, m)))
+    s = q @ blocks @ np.swapaxes(q, -1, -2)
+    return 0.5 * (s - np.swapaxes(s, -1, -2))
+
+
+@pytest.mark.filterwarnings("error")
+class TestCertifiedRank:
+    """`skew_ranks` certifies full rank by a normalized Pfaffian bound and
+    sends the rest to the SVD; every rank must equal the plain SVD count."""
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-9, 1e-6])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_svd_count(self, m, tol):
+        rng = np.random.default_rng(100 * m + int(-np.log10(tol)))
+        n, k = 600, m // 2
+        # lambda_1 = 1, the other lambda_j / lambda_1 log-uniform on [1e-13, 1]
+        lams = np.ones((n, k))
+        lams[:, 1:] = 10.0 ** rng.uniform(-13, 0, (n, k - 1))
+        if k > 1:  # a share with one pair within a factor 2 of tol * lambda_1
+            near = rng.random(n) < 0.3
+            lams[near, -1] = tol * 2.0 ** rng.uniform(-1, 1, near.sum())
+        stack = skew_with_spectrum(rng, m, lams)
+        for scale in (1.0, 1e-150, 1e150, 1e-310):
+            scaled = stack * scale
+            assert np.array_equal(skew_ranks(scaled, tol), svd_ranks(scaled, tol))
+
+    def test_rank_stacks_m6(self):
+        rng = np.random.default_rng(7)
+        for rank in (0, 2, 4):
+            stack = np.array([random_rank(rng, 6, rank) for _ in range(200)])
+            assert np.array_equal(skew_ranks(stack), svd_ranks(stack, 1e-9))
+            assert np.all(skew_ranks(stack) == rank)
+
+    def test_certificate_only_claims_full_rank(self):
+        rng = np.random.default_rng(8)
+        full = np.array([random_rank(rng, 6, 6) for _ in range(64)])
+        deficient = np.array([random_rank(rng, 6, 4) for _ in range(64)])
+        assert _certified_full_rank(full, 1e-9).mean() > 0.9
+        assert not _certified_full_rank(deficient, 1e-9).any()
+        # rank 4, not skew, and its upper triangle is that of a full-rank
+        # skew matrix: only the SVD sees the whole matrix
+        general = rng.standard_normal((64, 6, 4)) @ rng.standard_normal((64, 4, 6))
+        assert not _certified_full_rank(general, 1e-9).any()
+        assert np.array_equal(skew_ranks(general), svd_ranks(general, 1e-9))
+
+    def test_huge_rank_four_is_not_certified(self):
+        # squaring unscaled Pfaffians overflows at this scale and would
+        # report rank 6
+        rng = np.random.default_rng(9)
+        s = 1e100 * random_rank(rng, 6, 4)
+        stack = np.broadcast_to(s, (64, 6, 6))
+        assert np.all(skew_ranks(stack) == 4)
+        assert np.all(svd_ranks(stack, 1e-9) == 4)
+
+    def test_zero_and_nonfinite_matrices(self):
+        stack = np.zeros((64, 6, 6))
+        assert np.all(skew_ranks(stack) == 0)
+        stack[1:] = random_rank(np.random.default_rng(10), 6, 6)
+        stack[1, 0, 1], stack[1, 1, 0] = np.inf, -np.inf
+        assert np.array_equal(skew_ranks(stack), svd_ranks(stack, 1e-9))
+        stack[2, 2, 3], stack[2, 3, 2] = np.nan, np.nan
+        for ranks in (skew_ranks, lambda x: svd_ranks(x, 1e-9)):
+            with pytest.raises(np.linalg.LinAlgError):
+                ranks(stack)
 
 
 class TestSkewRank:

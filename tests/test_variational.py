@@ -1,8 +1,13 @@
+import hashlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parea import integrability as integrability_module
+from parea import variational as variational_module
 from parea.cli import main
 from parea.grids import (
     ScalarField,
@@ -338,6 +343,47 @@ class TestRankTwoCurl:
         assert summary["rank_max"] == "2"
 
 
+_RANK_GOLDEN = Path(__file__).parent / "data" / "rank_audit_golden_sha256.json"
+_EVEN_M_SCENARIOS = ("example_2_2", "example_4_2", "smooth_roundtrip", "random_smooth",
+                     "heisenberg(1)", "heisenberg(2)", "heisenberg(3)")
+
+
+def rank_audit_digests(root: Path) -> dict:
+    """SHA-256 of every file `rank-analysis` and `audit-uniqueness` write for
+    each even-m built-in scenario at resolution 5 and for F = A x with a
+    generic rank-2 A in m = 4 and 6. The audit's v is u plus a small interior
+    bump; u is x_1 x_2 where the case has none."""
+    cases = {name: (["--scenario", name, "--resolution", "5"],
+                    builtin_scenario(name).build(5, 0)) for name in _EVEN_M_SCENARIOS}
+    for m in (4, 6):
+        f = rank2_linear_field(m)
+        path = root / "inputs" / f"rank2_m{m}" / "f.pfld"
+        path.parent.mkdir(parents=True)
+        write_field(f, path)
+        cases[f"rank2_m{m}"] = (["--f", str(path)], {"f": f})
+    for name, (source, data) in cases.items():
+        d = data["f"].domain
+        inputs = root / "inputs" / name
+        inputs.mkdir(parents=True, exist_ok=True)
+        u = data["u"] if "u" in data else ScalarField(d, d.meshes()[0] * d.meshes()[1])
+        v = ScalarField(d, u.values + 1e-2 * interior_bump(d).values)
+        audit_inputs = ["--v", str(inputs / "v.pfld")]
+        write_field(v, inputs / "v.pfld")
+        if "u" not in data:
+            write_field(u, inputs / "u.pfld")
+            audit_inputs += ["--u", str(inputs / "u.pfld")]
+        out = root / "out" / name
+        assert main(["rank-analysis", *source, "--out", str(out / "rank")]) == 0
+        assert main(["audit-uniqueness", *source, *audit_inputs,
+                     "--out", str(out / "audit")]) == 0
+    return {p.relative_to(root / "out").as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((root / "out").rglob("*")) if p.is_file()}
+
+
+def test_rank_audit_golden_digests(tmp_path):
+    assert rank_audit_digests(tmp_path) == json.loads(_RANK_GOLDEN.read_text())
+
+
 class TestUniquenessAudit:
     def test_shared_normal_pair_metrics(self):
         data = builtin_scenario("example_2_2").build()
@@ -358,6 +404,23 @@ class TestUniquenessAudit:
         assert report.gradient_max == 0.0
         assert report.orthogonality_residual == 0.0
         assert report.functional_gap == 0.0
+
+    def test_curl_built_once(self, monkeypatch):
+        # the ranks and both classifications share one curl (it was built 3 times)
+        calls = []
+
+        def counting(f):
+            calls.append(1)
+            return curl_matrix(f)
+
+        monkeypatch.setattr(variational_module, "curl_matrix", counting)
+        monkeypatch.setattr(integrability_module, "curl_matrix", counting)
+        d = build_domain(4, [0] * 4, [1] * 4, [5] * 4)
+        f = heisenberg_field(d)
+        u = sample(d, lambda a, b, c, e: a * b + 0.2 * c)
+        v = ScalarField(d, u.values + 1e-3 * interior_bump(d).values)
+        uniqueness_audit(u, v, f, None, pairwise_rotation(4))
+        assert len(calls) == 1
 
     def test_full_rank_flags_m4(self):
         d = build_domain(4, [0] * 4, [1] * 4, [5] * 4)
