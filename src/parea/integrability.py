@@ -151,12 +151,14 @@ def tangential_curl_residual(nu: VectorField, d: ScalarField,
 
 
 def _triple_derivatives(nu: VectorField, d: ScalarField, f: VectorField):
-    """grad(D), dnu[i, j] = d_i nu_j, the dense curl of F and nu . grad(D)
-    for a checked triple, with its domain."""
+    """grad(D), dnu[i, j] = d_i nu_j, nu . grad(D) and the contraction
+    nu_i h_ik of nu against the curl of F, for a checked triple, with its
+    domain."""
     domain = _check_triple(nu, d, f)
     dd = gradient_values(domain, d.values)
+    nu_h = np.einsum("i...,ik...->k...", nu.values, curl_matrix(f).dense())
     return (domain, dd, _component_gradients(domain, nu.values),
-            curl_matrix(f).dense(), np.einsum("i...,i...->...", nu.values, dd))
+            np.einsum("i...,i...->...", nu.values, dd), nu_h)
 
 
 def normal_contraction_residual(nu: VectorField, d: ScalarField,
@@ -165,14 +167,12 @@ def normal_contraction_residual(nu: VectorField, d: ScalarField,
     weighted normal form:
     res_k = nu_k nu_i d_i D - d_k D + nu_j (d_j nu_k - d_k nu_j) D - nu_i h_ik.
     """
-    domain, dd, dnu, hmat, nu_dot_dd = _triple_derivatives(nu, d, f)
+    domain, dd, dnu, nu_dot_dd, nu_h = _triple_derivatives(nu, d, f)
     v = nu.values
     # a[k] = nu_j (d_j nu_k - d_k nu_j)
     a = (np.einsum("j...,jk...->k...", v, dnu)
          - np.einsum("j...,kj...->k...", v, dnu))
-    # b[k] = nu_i h_ik
-    b = np.einsum("i...,ik...->k...", v, hmat)
-    res = v * nu_dot_dd - dd + a * d.values - b
+    res = v * nu_dot_dd - dd + a * d.values - nu_h
     return VectorField(domain, res)
 
 
@@ -180,12 +180,11 @@ def weight_equation_residual(nu: VectorField, d: ScalarField,
                              f: VectorField) -> VectorField:
     """Residual of the first-order system in the weight:
     res_k = delta_k D - nu_j (d_j nu_k) D + nu_j h_jk."""
-    domain, dd, dnu, hmat, nu_dot_dd = _triple_derivatives(nu, d, f)
+    domain, dd, dnu, nu_dot_dd, nu_h = _triple_derivatives(nu, d, f)
     v = nu.values
     delta_d = dd - v * nu_dot_dd
     advect = np.einsum("j...,jk...->k...", v, dnu)
-    twist = np.einsum("j...,jk...->k...", v, hmat)
-    return VectorField(domain, delta_d - advect * d.values + twist)
+    return VectorField(domain, delta_d - advect * d.values + nu_h)
 
 
 def codazzi_residual_2d(nu: VectorField, d: ScalarField) -> ScalarField:

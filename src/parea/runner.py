@@ -20,7 +20,7 @@ import numpy as np
 from .fieldio import format_real, read_field, write_csv, write_field
 from .grids import ScalarField, VectorField
 from .horizontal import (DEFAULT_SINGULAR_TOL, _normal_and_weight, curl_matrix,
-                         singular_set, singular_stats, weight)
+                         singular_stats)
 from .integrability import (DEFAULT_CLASSIFY_TOL, IntegrabilityLabel,
                             classify_integrability, renormalize_normal)
 from .reconstruction import (
@@ -34,6 +34,7 @@ from .scenarios import builtin_scenario, seeded_init
 from .variational import (
     MinimizeOptions,
     SolverDivergenceError,
+    _functional_from_weight,
     functional,
     line_profile,
     minimize,
@@ -72,8 +73,8 @@ class ExperimentConfig:
     method: str = "staircase"
     base: tuple[int, ...] | None = None
     eps_points: int = 11
-    max_iterations: int | None = None
-    first_order_tol: float | None = None
+    max_iterations: int = MinimizeOptions.max_iterations
+    first_order_tol: float = MinimizeOptions.first_order_tol
     inputs: dict[str, str] = field(default_factory=dict)
 
 
@@ -235,16 +236,16 @@ def _run_evaluate(config: ExperimentConfig, out: Path) -> ExitCode:
     u = _need(data, "u", "evaluate")
     f = _need(data, "f", "evaluate")
     h = data.get("h")
-    value = functional(u, f, h)
-    d = weight(u, f)
-    mask = singular_set(u, f, _tau(config))
+    _, mask, d = _normal_and_weight(u, f, _tau(config))  # one kernel call
+    value = _functional_from_weight(u, d, h)
     stats = singular_stats(mask)
-    write_field(d, out / "weight.pfld")
-    write_csv(d, out / "weight.csv")
+    weight = ScalarField(mask.domain, d)
+    write_field(weight, out / "weight.pfld")
+    write_csv(weight, out / "weight.csv")
     _write_summary(out, [
         ("functional", value),
-        ("weight_min", float(d.values.min())),
-        ("weight_max", float(d.values.max())),
+        ("weight_min", float(d.min())),
+        ("weight_max", float(d.max())),
         ("singular_fraction", stats.fraction),
         ("singular_ball_radius", stats.ball_radius),
     ])
@@ -252,6 +253,8 @@ def _run_evaluate(config: ExperimentConfig, out: Path) -> ExitCode:
 
 
 def _run_minimize(config: ExperimentConfig, out: Path) -> ExitCode:
+    # bad options exit 4 before any work
+    opts = MinimizeOptions(config.max_iterations, config.first_order_tol)
     data = _resolve_inputs(config)
     f = _need(data, "f", "minimize")
     boundary = _need(data, "u", "minimize")
@@ -259,12 +262,6 @@ def _run_minimize(config: ExperimentConfig, out: Path) -> ExitCode:
     init = data.get("init")
     if init is None:
         init = seeded_init(boundary, config.seed)
-    kwargs = {}
-    if config.max_iterations is not None:
-        kwargs["max_iterations"] = config.max_iterations
-    if config.first_order_tol is not None:
-        kwargs["first_order_tol"] = config.first_order_tol
-    opts = MinimizeOptions(**kwargs)
     result = minimize(f, h, boundary, init, opts)
     write_field(result.field, out / "minimizer.pfld")
     write_csv(result.field, out / "minimizer.csv")

@@ -7,28 +7,29 @@ single matrix or a stack (..., m, m), never from -S^2, whose eigenvalues
 bury exact zeros in eps * lambda_max^2 noise. A nonsymmetric solver is
 never needed.
 
-`skew_ranks` is the one numerical-rank kernel: the number of paired
-singular values above tol * lambda_1, counted twice. Before its SVD it
-certifies the matrices whose rank is not in doubt. With k = floor(m/2),
-scale S by R = |S|_F / sqrt(2) = sqrt(sum_j lambda_j^2), so R >= lambda_1,
-and let P = sqrt(sum_I Pf(S_I / R)^2) over the principal submatrices of
-order 2k (for even m, P = |Pf(S / R)|). The squared Pfaffians of those
-submatrices are their determinants, whose sum is the elementary symmetric
-function of degree 2k of the eigenvalues, so P = prod_j lambda_j / R^k.
-Every lambda_j / R is at most 1, hence lambda_k / lambda_1 >= lambda_k / R
->= P. An exactly skew matrix with P > max(4 tol, 1e-12) therefore has rank
-2k, and the SVD would say so too: its computed singular values lie within
-c(m) eps lambda_1 of the exact ones (backward stability and Weyl's bound),
-and the computed P within about 1e-14 of the exact one for m <= 6 (at most
-15 products of three entries of magnitude <= 1), so the computed ratio
-stays above tol with room to spare. Every other matrix (rank deficient or close to it,
-zero, non-finite, not exactly skew, or larger than 6 x 6, where the
-first-row expansion has too many terms) goes through the SVD, so each
-reported rank is exactly the one the SVD reports. So does every matrix of
-a small stack (a single matrix included), where the SVD is the cheaper of
-the two. The entries are divided by their largest magnitude before R and
-the Pfaffians are formed, so neither huge nor subnormal entries overflow
-or underflow the test.
+The numerical rank is the number of paired singular values above
+tol * lambda_1, counted twice. `skew_ranks` counts it on dense stacks by
+the SVD alone, and is the reference for `triangle_ranks`, which ranks
+matrices given by their upper-triangle entries (the storage of a
+`SkewField`, so every matrix it sees is exactly skew by construction).
+`triangle_ranks` first certifies the matrices whose rank is not in doubt.
+With k = floor(m/2), scale S by R = |S|_F / sqrt(2) = sqrt(sum_j
+lambda_j^2), so R >= lambda_1, and let P = sqrt(sum_I Pf(S_I / R)^2) over
+the principal submatrices of order 2k (for even m, P = |Pf(S / R)|). The
+squared Pfaffians of those submatrices are their determinants, whose sum is
+the elementary symmetric function of degree 2k of the eigenvalues, so
+P = prod_j lambda_j / R^k. Every lambda_j / R is at most 1, hence
+lambda_k / lambda_1 >= lambda_k / R >= P. A matrix with
+P > max(4 tol, 1e-12) therefore has rank 2k, and the SVD would say so too:
+its computed singular values lie within c(m) eps lambda_1 of the exact ones
+(backward stability and Weyl's bound), and the computed P within about
+1e-14 of the exact one for m <= 6 (at most 15 products of three entries of
+magnitude <= 1), so the computed ratio stays above tol with room to spare.
+Every other matrix (rank deficient or close to it, zero or non-finite) is
+built dense and goes through the SVD, so each reported rank is exactly the
+one the SVD reports. The entries are divided by their largest magnitude
+before R and the Pfaffians are formed, so neither huge nor subnormal
+entries overflow or underflow the test.
 
 Rank-two matrices factor as S = lambda * (nu_perp nu^T - nu nu_perp^T) with
 nu_perp = S nu / |S nu|; the factorization takes nu from the symmetric
@@ -37,7 +38,6 @@ matrix -S^2, which is safe once the rank is known to be two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,11 +47,8 @@ from .fieldio import format_real
 from .grids import MAX_DIMENSION, dense_skew, pair_indices
 
 DEFAULT_RANK_TOL = 1e-9
-# Smaller stacks go straight to the SVD: the certificate's fixed numpy
-# overhead (about 0.17 ms at m = 6 on a 2-core VM) exceeds the SVD's cost
-# below about 32 matrices. Larger ones are certified in blocks, so its
-# scaled copies stay small beside the stack.
-_CERTIFY_MIN_STACK = 32
+# `triangle_ranks` works on blocks of this many matrices, so its scaled
+# copies and the dense matrices it builds stay small beside the entries.
 _CERTIFY_BLOCK = 4096
 
 
@@ -139,56 +136,55 @@ def _pfaffian(e: np.ndarray, pos: dict, idx: tuple[int, ...]) -> np.ndarray:
     return total
 
 
-def _certified_full_rank(arr: np.ndarray, tol: float) -> np.ndarray:
-    """Matrices of the stack that provably have rank 2 * floor(m/2) at
-    threshold tol: exactly skew with P > max(4 tol, 1e-12) (see the module
-    docstring). False wherever the SVD has to decide."""
-    m = arr.shape[-1]
+def _certified_full_rank(e: np.ndarray, m: int, tol: float) -> np.ndarray:
+    """Which matrices, given by upper-triangle entries e of shape
+    (npairs, n), provably have rank 2 * floor(m/2) at threshold tol:
+    P > max(4 tol, 1e-12) (see the module docstring). False wherever the
+    SVD has to decide."""
     pairs = pair_indices(m)
-    exact = np.ones(arr.shape[:-2], dtype=bool)
-    for i in range(m):
-        exact &= arr[..., i, i] == 0
-    for i, j in pairs:
-        exact &= arr[..., j, i] == -arr[..., i, j]
-    e = np.stack([arr[..., i, j] for i, j in pairs])
     # zero and non-finite matrices turn into NaN here and fail the test
     with np.errstate(divide="ignore", invalid="ignore"):
-        e /= np.maximum(e.max(axis=0), -e.min(axis=0))  # max |entry|, no |e| copy
+        e = e / np.maximum(e.max(axis=0), -e.min(axis=0))  # max |entry|, no |e| copy
     r2 = np.einsum("p...,p...->...", e, e)  # R^2 in units of the largest entry
     pos = {pair: p for p, pair in enumerate(pairs)}
     orders = ([tuple(range(m))] if m % 2 == 0
               else [tuple(i for i in range(m) if i != d) for d in range(m)])
     pf2 = sum(_pfaffian(e, pos, idx) ** 2 for idx in orders)
     c = max(4.0 * tol, 1e-12)
-    return exact & (pf2 > c * c * r2 ** (m // 2))  # P > c
-
-
-def _svd_ranks(arr: np.ndarray, tol: float) -> np.ndarray:
-    lams = paired_spectrum(arr)
-    return 2 * np.count_nonzero(lams > tol * lams[..., :1], axis=-1)
+    return pf2 > c * c * r2 ** (m // 2)  # P > c
 
 
 def skew_ranks(s, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Numerical rank of every matrix of a stack (..., m, m), shape (...):
     the number of paired singular values above tol * largest, times two.
-    Ranks are even by construction, and 0 exactly where a matrix vanishes.
-    Matrices certified full rank by the normalized Pfaffian bound skip the
-    SVD; the rest go through `paired_spectrum`, so every rank is the one
-    the SVD gives."""
+    Ranks are even by construction, and 0 exactly where a matrix vanishes."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    arr = _dense(s, stack=True)
-    m = arr.shape[-1]
-    count = math.prod(arr.shape[:-2])
-    if not (2 <= m <= MAX_DIMENSION and count >= _CERTIFY_MIN_STACK):
-        return _svd_ranks(arr, tol)
-    flat = arr.reshape(count, m, m)
-    doubt = np.concatenate([~_certified_full_rank(flat[lo:lo + _CERTIFY_BLOCK], tol)
-                            for lo in range(0, count, _CERTIFY_BLOCK)])
-    ranks = np.full(count, 2 * (m // 2))
-    if doubt.any():
-        ranks[doubt] = _svd_ranks(flat[doubt], tol)
-    return ranks.reshape(arr.shape[:-2])
+    lams = paired_spectrum(s)
+    return 2 * np.count_nonzero(lams > tol * lams[..., :1], axis=-1)
+
+
+def triangle_ranks(entries: np.ndarray, m: int,
+                   tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """`skew_ranks` of the matrices with upper-triangle entries `entries`
+    (shape (npairs, ...), entries[p] the (i, j) entry for pair_indices(m)[p],
+    2 <= m <= 6), shape (...). Matrices certified full rank by the
+    normalized Pfaffian bound skip the SVD; only the rest are built dense,
+    a block at a time, so every rank is the one the SVD gives."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not (2 <= m <= MAX_DIMENSION and len(entries) == len(pair_indices(m))):
+        raise ValueError(f"need 2 <= m <= {MAX_DIMENSION} and one row per pair")
+    shape = entries.shape[1:]
+    flat = entries.reshape(entries.shape[0], -1)
+    ranks = np.full(flat.shape[1], 2 * (m // 2))
+    for lo in range(0, flat.shape[1], _CERTIFY_BLOCK):
+        block = flat[:, lo:lo + _CERTIFY_BLOCK]
+        doubt = np.flatnonzero(~_certified_full_rank(block, m, tol))
+        if doubt.size:
+            dense = np.moveaxis(dense_skew(block[:, doubt], m), -1, 0)
+            ranks[lo + doubt] = skew_ranks(dense, tol)
+    return ranks.reshape(shape)
 
 
 def skew_rank(s, tol: float = DEFAULT_RANK_TOL) -> int:

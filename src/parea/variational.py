@@ -38,10 +38,9 @@ from .horizontal import (
     _singular_flags,
     curl_matrix,
     horizontal_normal,
-    weight,
 )
 from .integrability import DEFAULT_CLASSIFY_TOL, IntegrabilityLabel, _classify
-from .skewalg import DEFAULT_RANK_TOL, skew_ranks
+from .skewalg import DEFAULT_RANK_TOL, triangle_ranks
 
 
 # --------------------------------------------------------------------------
@@ -101,8 +100,14 @@ def skew_divergence(f: VectorField, a: SkewCoefficients) -> ScalarField:
 def functional(u: ScalarField, f: VectorField,
                h: ScalarField | None = None) -> float:
     """integral( |grad(u) + F| + H*u ) by trapezoid quadrature."""
-    domain = require_same_domain(u, f) if h is None else require_same_domain(u, f, h)
-    d = weight(u, f).values
+    return _functional_from_weight(u, _horizontal(u, f)[2], h)
+
+
+def _functional_from_weight(u: ScalarField, d: np.ndarray,
+                           h: ScalarField | None) -> float:
+    """`functional` from the weight values d = |grad(u) + F| of u, for a
+    caller that holds them already."""
+    domain = u.domain if h is None else require_same_domain(u, h)
     if h is not None:
         d = d + h.values * u.values
     return integrate_values(domain, d)
@@ -193,25 +198,23 @@ _ARMIJO = 1e-4
 _SHRINK = 0.5
 _MIN_STEP = 1e-18
 _INITIAL_STEP_SCALE = 0.1
+# The continuation's smoothing parameters, one stage each.
+_EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Continuation schedule and stopping rule for the smoothed descent."""
+    """Stopping rule for the smoothed descent: at most max_iterations steps
+    per eps stage, and 0 < first_order_tol < inf."""
 
-    eps_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     max_iterations: int = 25000
     first_order_tol: float = 1e-5
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_schedule)
-        if not eps or any(e <= 0 for e in eps):
-            raise ValueError("eps schedule must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps schedule must be strictly decreasing")
-        if eps[-1] > 1e-6:
-            raise ValueError("final eps must be <= 1e-6")
-        object.__setattr__(self, "eps_schedule", eps)
+        if not self.max_iterations >= 1:
+            raise ValueError("max_iterations must be at least 1")
+        if not 0 < self.first_order_tol < np.inf:
+            raise ValueError("first_order_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,7 @@ def minimize(f: VectorField, h: ScalarField | None, boundary: ScalarField,
     prev_du = None
     prev_dg = None
 
-    for eps in opts.eps_schedule:
+    for eps in _EPS_SCHEDULE:
         value, grad = obj.value_and_grad(u, eps)
         res = obj.residual(grad)
         history = [(0, value, res)]
@@ -391,8 +394,9 @@ class UniquenessReport:
 
 
 def pointwise_skew_rank(field, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Numerical rank of a skew matrix field at every node (always even)."""
-    return skew_ranks(np.moveaxis(field.dense(), (0, 1), (-2, -1)), tol)
+    """Numerical rank of a skew matrix field at every node (always even),
+    from the upper-triangle entries it stores."""
+    return triangle_ranks(field.entries, field.domain.m, tol)
 
 
 def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
@@ -404,8 +408,7 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     inner product |< (grad(u_eps) + F)^a , grad(v) - grad(u) >| (the pointwise
     sup of the integrand is reported alongside)."""
     domain = require_same_domain(u, v, f)
-    # one curl for the ranks and both classifications; ranks first, so the
-    # dense curl stack is freed before any Frobenius tensor exists, and each
+    # one curl for the ranks and both classifications; each Frobenius
     # tensor is dropped once its labels are read
     h_curl = curl_matrix(f)
     ranks = pointwise_skew_rank(h_curl)

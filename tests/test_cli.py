@@ -181,6 +181,17 @@ class TestOtherPipelines:
         # artifacts still written for inspection
         assert (tmp_path / "minimizer.pfld").exists()
 
+    @pytest.mark.parametrize("flag", [
+        ("--first-order-tol", "nan"), ("--first-order-tol", "-1"),
+        ("--first-order-tol", "inf"), ("--first-order-tol", "0"),
+        ("--max-iterations", "-3"), ("--max-iterations", "0")])
+    def test_bad_solver_options_exit_config_error(self, tmp_path, flag):
+        # they exited 5 (non-convergence), or 0 after no step for inf
+        code = run_cli("minimize", "--scenario", "heisenberg(1)",
+                       "--resolution", "9", *flag, "--out", str(tmp_path))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert not (tmp_path / "minimizer.pfld").exists()
+
     def test_failing_scenario_assertion_exit_code(self, tmp_path, monkeypatch):
         import parea.runner as runner_mod
         from parea.scenarios import CheckOutcome, builtin_scenario

@@ -1,8 +1,14 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from parea.grids import (
     ScalarField,
+    SingularMask,
     VectorField,
     axis_derivative,
     build_domain,
@@ -23,6 +29,9 @@ from parea.horizontal import (
     weight,
 )
 from parea import horizontal as horizontal_module
+from parea import runner as runner_module
+from parea import variational as variational_module
+from parea.cli import main
 from parea.reconstruction import verify_normal
 from parea.runner import _derive_normal_weight
 from parea.scenarios import builtin_scenario, random_smooth_field, random_smooth_scalar
@@ -311,6 +320,36 @@ class TestSingularStats:
         assert stats.fraction == pytest.approx(1 / 65)
         assert stats.ball_radius == 0
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_radius_matches_box_search(self, m):
+        rng = np.random.default_rng(m)
+        for trial in range(40):
+            counts = tuple(int(n) for n in rng.integers(5, 12 if m < 4 else 8, m))
+            d = build_domain(m, [0] * m, [1] * m, counts)
+            flags = rng.random(counts) > 10.0 ** rng.uniform(-3, -0.3)
+            stats = singular_stats(SingularMask(d, flags, 1e-6))
+            assert stats.ball_radius == box_search_radius(flags)
+
+    def test_no_scipy_ndimage(self):
+        code = ("import sys, parea.cli; "
+                "print(sorted(k for k in sys.modules if k.startswith('scipy.ndimage')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+
+def box_search_radius(flags) -> int:
+    """Largest r <= min((n - 1) // 2) with an all-flagged box of side 2r + 1
+    inside the grid, by trying every centre and radius."""
+    best = 0
+    for r in range(1, min((n - 1) // 2 for n in flags.shape) + 1):
+        ranges = [range(r, n - r) for n in flags.shape]
+        if any(flags[tuple(slice(c - r, c + r + 1) for c in centre)].all()
+               for centre in itertools.product(*ranges)):
+            best = r
+    return best
+
 
 class TestResidualNorms:
     def test_masked_l1(self):
@@ -323,7 +362,8 @@ class TestResidualNorms:
 
 class TestOneKernelCall:
     """Callers that need the normal, its mask and the weight of one (u, F)
-    take all three from one `_horizontal` call (they made two)."""
+    take all three from one `_horizontal` call (they made two; `evaluate`
+    made three)."""
 
     @pytest.fixture
     def calls(self, monkeypatch, data):  # counts from after the scenario is built
@@ -334,7 +374,9 @@ class TestOneKernelCall:
             count.append(1)
             return kernel(w, f)
 
-        monkeypatch.setattr(horizontal_module, "_horizontal", counting)
+        # every module's own binding of the kernel, not only the defining one
+        for module in (horizontal_module, variational_module, runner_module):
+            monkeypatch.setattr(module, "_horizontal", counting, raising=False)
         return count
 
     @pytest.fixture
@@ -354,4 +396,11 @@ class TestOneKernelCall:
 
     def test_structure_identity_residual(self, calls, data):
         structure_identity_residual(data["u"], data["f"])
+        assert len(calls) == 1
+
+    def test_evaluate(self, calls, tmp_path):
+        # random_smooth builds (u, F) without the kernel
+        code = main(["evaluate", "--scenario", "random_smooth", "--resolution", "9",
+                     "--out", str(tmp_path)])
+        assert code == 0
         assert len(calls) == 1

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parea.skewalg as skewalg_module
 from parea.skewalg import (
     SkewMatrix,
     _certified_full_rank,
@@ -14,6 +15,7 @@ from parea.skewalg import (
     skew_rank,
     skew_ranks,
     spectral_pairs,
+    triangle_ranks,
     write_skew_matrix,
 )
 
@@ -62,6 +64,7 @@ class TestBatchedRank:
                 batched = skew_ranks(stack)
                 assert batched.shape == (3, 20)
                 assert np.array_equal(batched, ranks)
+                assert np.array_equal(triangle_ranks(triangle(stack), m), ranks)
                 single = [[skew_rank(s) for s in row] for row in stack]
                 assert np.array_equal(batched, single)
                 spectra = paired_spectrum(stack)
@@ -72,6 +75,12 @@ class TestBatchedRank:
     def test_single_matrix_needs_two_dimensions(self):
         with pytest.raises(ValueError, match="square"):
             skew_rank(np.zeros((2, 3, 3)))
+
+
+def triangle(stack):
+    """Upper-triangle entries of a stack (..., m, m), shape (npairs, ...)."""
+    rows, cols = np.triu_indices(stack.shape[-1], 1)
+    return np.moveaxis(stack[..., rows, cols], -1, 0)
 
 
 def svd_ranks(stack, tol):
@@ -98,7 +107,7 @@ def skew_with_spectrum(rng, m, lams):
 
 @pytest.mark.filterwarnings("error")
 class TestCertifiedRank:
-    """`skew_ranks` certifies full rank by a normalized Pfaffian bound and
+    """`triangle_ranks` certifies full rank by a normalized Pfaffian bound and
     sends the rest to the SVD; every rank must equal the plain SVD count."""
 
     @pytest.mark.parametrize("tol", [1e-14, 1e-9, 1e-6])
@@ -115,25 +124,33 @@ class TestCertifiedRank:
         stack = skew_with_spectrum(rng, m, lams)
         for scale in (1.0, 1e-150, 1e150, 1e-310):
             scaled = stack * scale
-            assert np.array_equal(skew_ranks(scaled, tol), svd_ranks(scaled, tol))
+            assert np.array_equal(triangle_ranks(triangle(scaled), m, tol),
+                                  svd_ranks(scaled, tol))
+
+    def test_blocks_keep_node_order(self, monkeypatch):
+        # mixed ranks over many blocks: each SVD rank lands on its own node
+        monkeypatch.setattr(skewalg_module, "_CERTIFY_BLOCK", 97)
+        rng = np.random.default_rng(6)
+        ranks = rng.choice([0, 2, 4, 6], size=(20, 30))
+        stack = np.array([[random_rank(rng, 6, r) for r in row] for row in ranks])
+        assert np.array_equal(triangle_ranks(triangle(stack), 6), ranks)
 
     def test_rank_stacks_m6(self):
         rng = np.random.default_rng(7)
         for rank in (0, 2, 4):
             stack = np.array([random_rank(rng, 6, rank) for _ in range(200)])
-            assert np.array_equal(skew_ranks(stack), svd_ranks(stack, 1e-9))
-            assert np.all(skew_ranks(stack) == rank)
+            ranks = triangle_ranks(triangle(stack), 6)
+            assert np.array_equal(ranks, svd_ranks(stack, 1e-9))
+            assert np.all(ranks == rank)
 
     def test_certificate_only_claims_full_rank(self):
         rng = np.random.default_rng(8)
         full = np.array([random_rank(rng, 6, 6) for _ in range(64)])
         deficient = np.array([random_rank(rng, 6, 4) for _ in range(64)])
-        assert _certified_full_rank(full, 1e-9).mean() > 0.9
-        assert not _certified_full_rank(deficient, 1e-9).any()
-        # rank 4, not skew, and its upper triangle is that of a full-rank
-        # skew matrix: only the SVD sees the whole matrix
+        assert _certified_full_rank(triangle(full), 6, 1e-9).mean() > 0.9
+        assert not _certified_full_rank(triangle(deficient), 6, 1e-9).any()
+        # rank 4 and not skew: the dense kernel sees the whole matrix
         general = rng.standard_normal((64, 6, 4)) @ rng.standard_normal((64, 4, 6))
-        assert not _certified_full_rank(general, 1e-9).any()
         assert np.array_equal(skew_ranks(general), svd_ranks(general, 1e-9))
 
     def test_huge_rank_four_is_not_certified(self):
@@ -142,11 +159,12 @@ class TestCertifiedRank:
         rng = np.random.default_rng(9)
         s = 1e100 * random_rank(rng, 6, 4)
         stack = np.broadcast_to(s, (64, 6, 6))
-        assert np.all(skew_ranks(stack) == 4)
+        assert np.all(triangle_ranks(triangle(stack), 6) == 4)
         assert np.all(svd_ranks(stack, 1e-9) == 4)
 
     def test_zero_and_nonfinite_matrices(self):
         stack = np.zeros((64, 6, 6))
+        assert np.all(triangle_ranks(triangle(stack), 6) == 0)
         assert np.all(skew_ranks(stack) == 0)
         stack[1:] = random_rank(np.random.default_rng(10), 6, 6)
         stack[1, 0, 1], stack[1, 1, 0] = np.inf, -np.inf
@@ -155,6 +173,12 @@ class TestCertifiedRank:
         for ranks in (skew_ranks, lambda x: svd_ranks(x, 1e-9)):
             with pytest.raises(np.linalg.LinAlgError):
                 ranks(stack)
+
+    def test_triangle_needs_one_row_per_pair(self):
+        with pytest.raises(ValueError, match="one row per pair"):
+            triangle_ranks(np.zeros((6, 10)), 5)
+        with pytest.raises(ValueError, match="one row per pair"):
+            triangle_ranks(np.zeros((28, 10)), 8)
 
 
 class TestSkewRank:

@@ -266,13 +266,15 @@ class TestMinimize:
         assert lines[0] == "stage iteration objective residual"
         assert len(lines) > len(result.stages)
 
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError, match="decreasing"):
-            MinimizeOptions(eps_schedule=(1e-2, 1e-1, 1e-6))
-        with pytest.raises(ValueError, match="final eps"):
-            MinimizeOptions(eps_schedule=(1e-1, 1e-3))
-        with pytest.raises(ValueError, match="positive"):
-            MinimizeOptions(eps_schedule=(1e-1, 0.0))
+    def test_options_validation(self):
+        # the eps schedule is a module constant now; the two options left
+        # must be usable (nan, inf and negative values used to be accepted)
+        for bad in ({"max_iterations": 0}, {"max_iterations": -3},
+                    {"first_order_tol": 0.0}, {"first_order_tol": -1.0},
+                    {"first_order_tol": float("nan")},
+                    {"first_order_tol": float("inf")}):
+            with pytest.raises(ValueError):
+                MinimizeOptions(**bad)
 
 
 class TestStationarityPairing:
@@ -459,8 +461,9 @@ class TestPeakMemory:
     tensor (20 entries per node). Building the tensor through a list,
     np.stack and the field's copy held it three times at once (3.9 units);
     one preallocated fill leaves the fill and the copy (2.1). The audit kept
-    both candidates' tensors through its eps loop (5.6 units); its peak is
-    now the rank step (3.6)."""
+    both candidates' tensors through its eps loop (5.6 units); its peak was
+    then the rank step (3.6), and is now the second classification, with
+    the curl and the first candidate's normal alive (3.5)."""
 
     @pytest.fixture(scope="class")
     def fields(self):
@@ -486,6 +489,15 @@ class TestPeakMemory:
         u, _, f, tensor_bytes = fields
         nu, _ = horizontal_normal(u, f)
         assert self.peak(lambda: frobenius_tensor(nu, f)) <= 2.75 * tensor_bytes
+
+    def test_pointwise_skew_rank_peak(self, fields):
+        # the dense (m, m, *counts) stack and the SVD's copy of it peaked at
+        # 3.4 curls (5.5 for a rank-2 curl, which only the SVD ranks); now
+        # a block of the nodes in doubt is the only dense part
+        h = curl_matrix(fields[2])
+        assert self.peak(lambda: pointwise_skew_rank(h)) < h.entries.nbytes
+        h2 = curl_matrix(rank2_linear_field(6))
+        assert self.peak(lambda: pointwise_skew_rank(h2)) < 2.5 * h2.entries.nbytes
 
     def test_uniqueness_audit_peak(self, fields):
         u, v, f, tensor_bytes = fields
