@@ -285,6 +285,7 @@ def _run_minimize(config: ExperimentConfig, out: Path) -> ExitCode:
         rows.append((f"stage{i}_eps", stage.eps))
         rows.append((f"stage{i}_iterations", stage.iterations))
         rows.append((f"stage{i}_residual", stage.residual))
+        rows.append((f"stage{i}_stop_reason", stage.stop_reason))
     _write_summary(out, rows)
     return ExitCode.OK if result.converged else ExitCode.SOLVER_FAILURE
 

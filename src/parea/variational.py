@@ -224,6 +224,9 @@ class StageLog:
     objective: float
     residual: float
     converged: bool
+    # "tol" (residual within the bound), "cap" (max_iterations reached) or
+    # "zero-gradient" (the squared gradient norm is 0: no descent direction)
+    stop_reason: str
     history: tuple[tuple[int, float, float], ...]
 
 
@@ -244,7 +247,14 @@ class MinimizeResult:
 
 class _SmoothedObjective:
     """Quadrature-weighted objective sum W*(sqrt(|grad u + F|^2 + eps^2) + H u)
-    with its exact discrete gradient (boundary rows zeroed)."""
+    with its exact discrete gradient (boundary rows zeroed).
+
+    `value` returns the objective together with the state (p, s) =
+    (grad u + F, sqrt(|p|^2 + eps^2)) it computed on the way; `gradient` builds
+    the gradient from that state alone. A line search can therefore test a
+    trial point on its value and pay for the adjoint stencils only once it
+    accepts it.
+    """
 
     def __init__(self, f: VectorField, h: ScalarField | None):
         self.domain = f.domain
@@ -253,11 +263,15 @@ class _SmoothedObjective:
         self.weights = quadrature_weights(self.domain)
         self.boundary = self.domain.boundary_mask()
 
-    def value_and_grad(self, u: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
+    def value(self, u: np.ndarray, eps: float
+              ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         p = gradient_values(self.domain, u) + self.f_values
         s = np.sqrt(np.sum(p * p, axis=0) + eps * eps)
         total = s if self.h_values is None else s + self.h_values * u
-        value = float(np.sum(self.weights * total))
+        return float(np.sum(self.weights * total)), (p, s)
+
+    def gradient(self, state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        p, s = state
         scale = self.weights / s
         grad = np.zeros(self.domain.counts)
         for k in range(self.domain.m):
@@ -265,7 +279,7 @@ class _SmoothedObjective:
         if self.h_values is not None:
             grad += self.weights * self.h_values
         grad[self.boundary] = 0.0
-        return value, grad
+        return grad
 
     def residual(self, grad: np.ndarray) -> float:
         """Interior first-order residual: sup-norm of the objective gradient
@@ -278,8 +292,8 @@ def first_order_residual(u: ScalarField, f: VectorField,
                          eps: float = 1e-6) -> float:
     """Interior stationarity residual of the smoothed objective at u."""
     obj = _SmoothedObjective(f, h)
-    _, grad = obj.value_and_grad(u.values, eps)
-    return obj.residual(grad)
+    _, state = obj.value(u.values, eps)
+    return obj.residual(obj.gradient(state))
 
 
 def minimize(f: VectorField, h: ScalarField | None, boundary: ScalarField,
@@ -312,7 +326,8 @@ def minimize(f: VectorField, h: ScalarField | None, boundary: ScalarField,
     prev_dg = None
 
     for eps in _EPS_SCHEDULE:
-        value, grad = obj.value_and_grad(u, eps)
+        value, state = obj.value(u, eps)
+        grad = obj.gradient(state)
         res = obj.residual(grad)
         history = [(0, value, res)]
         it = 0
@@ -329,13 +344,14 @@ def minimize(f: VectorField, h: ScalarField | None, boundary: ScalarField,
                 step = _INITIAL_STEP_SCALE * field_scale(u) / np.sqrt(gnorm2)
             while True:
                 trial = u - step * grad
-                trial_value, trial_grad = obj.value_and_grad(trial, eps)
+                trial_value, trial_state = obj.value(trial, eps)
                 if trial_value <= value - _ARMIJO * step * gnorm2:
                     break
                 step *= _SHRINK
                 if step < _MIN_STEP:
                     raise SolverDivergenceError(eps=eps, iteration=it, step=step,
                                                 objective=value, residual=res)
+            trial_grad = obj.gradient(trial_state)
             prev_du = trial - u
             prev_dg = trial_grad - grad
             u, value, grad = trial, trial_value, trial_grad
@@ -343,10 +359,16 @@ def minimize(f: VectorField, h: ScalarField | None, boundary: ScalarField,
             res = obj.residual(grad)
             history.append((it, value, res))
         converged = res <= bound
+        if converged:
+            stop_reason = "tol"
+        elif it >= opts.max_iterations:
+            stop_reason = "cap"
+        else:
+            stop_reason = "zero-gradient"
         all_converged = all_converged and converged
         stages.append(StageLog(eps=eps, iterations=it, objective=value,
                                residual=res, converged=converged,
-                               history=tuple(history)))
+                               stop_reason=stop_reason, history=tuple(history)))
 
     return MinimizeResult(field=ScalarField(domain, u), converged=all_converged,
                           stages=tuple(stages))

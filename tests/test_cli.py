@@ -171,6 +171,13 @@ class TestOtherPipelines:
         assert (tmp_path / "minimizer.pfld").exists()
         log = (tmp_path / "convergence.log").read_text().splitlines()
         assert log[0] == "stage iteration objective residual"
+        rows = [row.split(",") for row in
+                (tmp_path / "summary.csv").read_text().splitlines()]
+        # each stage's stop reason follows its other rows
+        assert [key for key, _ in rows[-24:]] == [
+            f"stage{i}_{key}" for i in range(6)
+            for key in ("eps", "iterations", "residual", "stop_reason")]
+        assert [value for key, value in rows if key.endswith("_stop_reason")] == ["tol"] * 6
 
     def test_minimize_non_convergence_exit_code(self, tmp_path):
         code = run_cli("minimize", "--scenario", "heisenberg(1)",
@@ -180,6 +187,8 @@ class TestOtherPipelines:
         assert code == int(ExitCode.SOLVER_FAILURE)
         # artifacts still written for inspection
         assert (tmp_path / "minimizer.pfld").exists()
+        summary = (tmp_path / "summary.csv").read_text()
+        assert all(f"stage{i}_stop_reason,cap" in summary for i in range(6))
 
     @pytest.mark.parametrize("flag", [
         ("--first-order-tol", "nan"), ("--first-order-tol", "-1"),

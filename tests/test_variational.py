@@ -209,6 +209,7 @@ class TestMinimize:
         opts = MinimizeOptions(first_order_tol=1e-4, max_iterations=4000)
         result = minimize(f, None, ell, init, opts)
         assert result.converged
+        assert [stage.stop_reason for stage in result.stages] == ["tol"] * 6
         assert functional(result.field, f) <= functional(init, f)
         assert first_order_residual(result.field, f, None) <= 1e-4 * field_scale(
             result.field)
@@ -255,6 +256,27 @@ class TestMinimize:
         result = minimize(f, h, boundary, boundary, opts)
         assert not result.converged
         assert all(stage.iterations == 30 for stage in result.stages)
+        assert all(stage.stop_reason == "cap" for stage in result.stages)
+
+    def test_gradient_formed_only_at_accepted_steps(self, monkeypatch):
+        # a rejected Armijo trial is judged on its value alone: the adjoint
+        # stencils run once per axis at each stage start and each accepted
+        # step (they used to run for every trial)
+        calls = []
+        adjoint = variational_module.axis_derivative_adjoint
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return adjoint(*args, **kwargs)
+
+        monkeypatch.setattr(variational_module, "axis_derivative_adjoint", counting)
+        d = build_domain(2, [0, 0], [1, 1], [17, 17])
+        f = heisenberg_field(d)
+        boundary = sample(d, lambda x, y: x * y)
+        opts = MinimizeOptions(first_order_tol=1e-4, max_iterations=500)
+        result = minimize(f, None, boundary, seeded_init(boundary, 2), opts)
+        steps = sum(stage.iterations for stage in result.stages)
+        assert len(calls) == d.m * (steps + len(result.stages))
 
     def test_log_text_format(self):
         d = build_domain(2, [0, 0], [1, 1], [9, 9])
@@ -275,6 +297,27 @@ class TestMinimize:
                     {"first_order_tol": float("inf")}):
             with pytest.raises(ValueError):
                 MinimizeOptions(**bad)
+
+
+_MINIMIZE_GOLDEN = Path(__file__).parent / "data" / "minimize_golden_sha256.json"
+
+
+def test_minimize_golden_digests(tmp_path):
+    """The solver's path, pinned: SHA-256 of the convergence log, the
+    objective series and the minimizer CSV of `minimize` on two scenarios and
+    two seeds at 17^2. summary.csv is left out, so that a new summary row
+    does not move the pin."""
+    digests = {}
+    for name in ("heisenberg(1)", "random_smooth"):
+        for seed in (1, 2):
+            out = tmp_path / f"{name}_seed{seed}"
+            assert main(["minimize", "--scenario", name, "--resolution", "17",
+                         "--seed", str(seed), "--first-order-tol", "1e-4",
+                         "--out", str(out)]) == 0
+            for artifact in ("convergence.log", "convergence.dat", "minimizer.csv"):
+                digests[f"{out.name}/{artifact}"] = hashlib.sha256(
+                    (out / artifact).read_bytes()).hexdigest()
+    assert digests == json.loads(_MINIMIZE_GOLDEN.read_text())
 
 
 class TestStationarityPairing:
