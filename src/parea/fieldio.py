@@ -47,9 +47,9 @@ from .grids import (
     SingularMask,
     SkewField,
     VectorField,
+    _AlternatingField,
+    alternating_indices,
     build_domain,
-    pair_indices,
-    triple_indices,
 )
 
 FORMAT_TAG = "PFLD 1"
@@ -101,12 +101,9 @@ def _blocks_of(field) -> tuple[str, list[np.ndarray]]:
     if isinstance(field, ScalarField):
         return "kind=scalar", [field.values]
     if isinstance(field, VectorField):
-        m = field.domain.m
-        return f"kind=vector c={m}", [field.values[k] for k in range(m)]
-    if isinstance(field, SkewField):
-        return "kind=skew", [field.entries[p] for p in range(field.entries.shape[0])]
-    if isinstance(field, Alternating3Field):
-        return "kind=alt3", [field.entries[p] for p in range(field.entries.shape[0])]
+        return f"kind=vector c={field.domain.m}", list(field.values)
+    if isinstance(field, _AlternatingField):
+        return f"kind={field.kind}", list(field.entries)
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 
@@ -155,26 +152,30 @@ def _split_header(text: str) -> tuple[list[str], str]:
     return lines, ""
 
 
-def _parse_kind(line: str, m: int) -> tuple[str, int]:
-    """The kind named on the `kind=` line and its number of value blocks."""
+# The field class each `kind=` tag names.
+_KINDS = {"scalar": ScalarField, "vector": VectorField,
+          **{cls.kind: cls for cls in (SkewField, Alternating3Field)}}
+
+
+def _parse_kind(line: str, m: int) -> tuple[type, int]:
+    """The field class the `kind=` line names and its number of value blocks."""
     tokens = line.split()
     if not tokens:
         raise FieldFormatError("malformed header: empty kind line")
     kind = _header_value(tokens[0], "kind")
-    if kind == "scalar":
-        return kind, 1
-    if kind == "vector":
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise FieldFormatError(f"malformed header: unknown kind {kind!r}")
+    if cls is ScalarField:
+        return cls, 1
+    if cls is VectorField:
         if len(tokens) != 2:
             raise FieldFormatError("malformed header: vector kind needs c=<m>")
         c = int(_header_value(tokens[1], "c"))
         if c != m:
             raise FieldFormatError(f"malformed header: vector c={c} != m={m}")
-        return kind, m
-    if kind == "skew":
-        return kind, len(pair_indices(m))
-    if kind == "alt3":
-        return kind, len(triple_indices(m))
-    raise FieldFormatError(f"malformed header: unknown kind {kind!r}")
+        return cls, m
+    return cls, len(alternating_indices(m, cls.order))
 
 
 def _first_bad_token(tokens: list[str]) -> FieldFormatError:
@@ -204,7 +205,7 @@ def read_field(source):
         lower = [float(t) for t in _header_value(lines[3].strip(), "lower").split()]
         upper = [float(t) for t in _header_value(lines[4].strip(), "upper").split()]
         domain = build_domain(m, lower, upper, counts)
-        kind, nblocks = _parse_kind(lines[5], m)
+        cls, nblocks = _parse_kind(lines[5], m)
     except FieldFormatError:
         raise
     except ValueError as exc:
@@ -224,27 +225,18 @@ def read_field(source):
         raise _first_bad_token(tokens)
 
     blocks = values.reshape((nblocks,) + domain.counts)
-    if kind == "scalar":
-        return ScalarField(domain, blocks[0])
-    if kind == "vector":
-        return VectorField(domain, blocks)
-    if kind == "skew":
-        return SkewField(domain, blocks)
-    return Alternating3Field(domain, blocks)
+    return cls(domain, blocks[0] if cls is ScalarField else blocks)
 
 
 def _csv_columns(field) -> tuple[list[str], list[np.ndarray]]:
     if isinstance(field, ScalarField):
         return ["value"], [field.values]
     if isinstance(field, VectorField):
-        m = field.domain.m
-        return [f"v{k + 1}" for k in range(m)], [field.values[k] for k in range(m)]
-    if isinstance(field, SkewField):
-        names = [f"h_{i + 1}_{j + 1}" for i, j in field.pairs]
-        return names, [field.entries[p] for p in range(len(names))]
-    if isinstance(field, Alternating3Field):
-        names = [f"t_{k + 1}_{i + 1}_{j + 1}" for k, i, j in field.triples]
-        return names, [field.entries[p] for p in range(len(names))]
+        return [f"v{k + 1}" for k in range(field.domain.m)], list(field.values)
+    if isinstance(field, _AlternatingField):
+        names = [field.column_prefix + "".join(f"_{i + 1}" for i in idx)
+                 for idx in field.indices]
+        return names, list(field.entries)
     if isinstance(field, SingularMask):
         return ["flag"], [field.flags.astype(float)]
     raise TypeError(f"unsupported field type {type(field).__name__}")

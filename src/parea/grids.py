@@ -20,7 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,9 +106,28 @@ def build_domain(m: int, lower: Sequence[float], upper: Sequence[float],
 
 
 @lru_cache(maxsize=None)
+def alternating_indices(m: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """The storage order of every alternating tensor: strictly increasing
+    index tuples of length `order`, lexicographic."""
+    return tuple(itertools.combinations(range(m), order))
+
+
+@lru_cache(maxsize=None)
+def index_positions(m: int, order: int) -> Mapping[tuple[int, ...], int]:
+    """Read-only map from each strictly increasing index tuple to its
+    position in `alternating_indices(m, order)`."""
+    return MappingProxyType(
+        {idx: p for p, idx in enumerate(alternating_indices(m, order))})
+
+
 def pair_indices(m: int) -> tuple[tuple[int, int], ...]:
     """Strictly increasing index pairs (i, j), lexicographic."""
-    return tuple(itertools.combinations(range(m), 2))
+    return alternating_indices(m, 2)
+
+
+def triple_indices(m: int) -> tuple[tuple[int, int, int], ...]:
+    """Strictly increasing index triples (k, i, j), lexicographic."""
+    return alternating_indices(m, 3)
 
 
 def dense_skew(entries, m: int) -> np.ndarray:
@@ -121,12 +141,6 @@ def dense_skew(entries, m: int) -> np.ndarray:
     out[rows, cols] = entries
     out[cols, rows] = -entries
     return out
-
-
-@lru_cache(maxsize=None)
-def triple_indices(m: int) -> tuple[tuple[int, int, int], ...]:
-    """Strictly increasing index triples (k, i, j), lexicographic."""
-    return tuple(itertools.combinations(range(m), 3))
 
 
 class ScalarField:
@@ -158,9 +172,6 @@ class VectorField:
         self.domain = domain
         self.values = arr
 
-    def component(self, k: int) -> ScalarField:
-        return ScalarField(self.domain, self.values[k])
-
     def norm(self) -> ScalarField:
         """Pointwise Euclidean norm."""
         return ScalarField(self.domain, np.sqrt(np.sum(self.values ** 2, axis=0)))
@@ -169,97 +180,75 @@ class VectorField:
         return f"VectorField(m={self.domain.m}, shape={self.domain.counts})"
 
 
-class SkewField:
-    """Per-node skew-symmetric m x m matrix, stored as upper-triangle entries.
+class _AlternatingField:
+    """Per-node alternating tensor of order `order`, stored on the strictly
+    increasing index tuples `alternating_indices(m, order)`: entries[p] holds
+    the entry for the p-th tuple. Every other index tuple reads as the stored
+    entry times the sign of its sorting permutation, or zero at a repeated
+    index, so antisymmetry holds by construction."""
 
-    entries[p] holds the (i, j) entry for pair_indices(m)[p]; reads of (j, i)
-    are the negation and the diagonal reads zero, so antisymmetry holds by
-    construction.
-    """
+    order: int
+    kind: str  # the `.pfld` kind tag
+    column_prefix: str  # CSV columns are <prefix>_<i1>_<i2>..., 1-based
+    noun: str
 
     def __init__(self, domain: GridDomain, entries):
         arr = _frozen_array(entries)
-        npairs = len(pair_indices(domain.m))
-        if arr.shape != (npairs,) + domain.counts:
-            raise ValueError(f"entries shape {arr.shape} != {(npairs,) + domain.counts}")
+        shape = (len(alternating_indices(domain.m, self.order)),) + domain.counts
+        if arr.shape != shape:
+            raise ValueError(f"entries shape {arr.shape} != {shape}")
         if not np.isfinite(arr).all():
-            raise ValueError("non-finite value in skew field")
+            raise ValueError(f"non-finite value in {self.noun} field")
         self.domain = domain
         self.entries = arr
 
     @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return pair_indices(self.domain.m)
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        return alternating_indices(self.domain.m, self.order)
 
-    def pair_position(self, i: int, j: int) -> int:
-        return self.pairs.index((i, j))
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        """Signed per-node entry (i, j); zero array on the diagonal."""
-        if i == j:
+    def entry(self, *index: int) -> np.ndarray:
+        """Signed per-node entry for an arbitrary index tuple; a zero array
+        at a repeated index."""
+        if len(set(index)) < self.order:
             return np.zeros(self.domain.counts)
-        if i < j:
-            return self.entries[self.pair_position(i, j)]
-        return -self.entries[self.pair_position(j, i)]
+        stored = self.entries[index_positions(self.domain.m, self.order)[
+            tuple(sorted(index))]]
+        inversions = sum(a > b for a, b in itertools.combinations(index, 2))
+        return -stored if inversions % 2 else stored
+
+    def max_abs(self) -> float:
+        return float(np.max(np.abs(self.entries))) if self.entries.size else 0.0
+
+    def __repr__(self):
+        return f"{type(self).__name__}(m={self.domain.m}, shape={self.domain.counts})"
+
+
+class SkewField(_AlternatingField):
+    """Per-node skew-symmetric m x m matrix, stored as upper-triangle entries
+    on pair_indices(m)."""
+
+    order, kind, column_prefix, noun = 2, "skew", "h", "skew"
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return self.indices
 
     def dense(self) -> np.ndarray:
         """Dense per-node matrices, shape (m, m, *counts)."""
         return dense_skew(self.entries, self.domain.m)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries))) if self.entries.size else 0.0
 
-    def __repr__(self):
-        return f"SkewField(m={self.domain.m}, shape={self.domain.counts})"
-
-
-class Alternating3Field:
-    """Per-node fully antisymmetric 3-tensor, stored on increasing triples.
+class Alternating3Field(_AlternatingField):
+    """Per-node fully antisymmetric 3-tensor, stored on triple_indices(m).
 
     Empty for m < 3 (there are no strictly increasing triples).
     """
 
-    def __init__(self, domain: GridDomain, entries):
-        ntriples = len(triple_indices(domain.m))
-        arr = _frozen_array(entries)
-        if arr.shape != (ntriples,) + domain.counts:
-            raise ValueError(
-                f"entries shape {arr.shape} != {(ntriples,) + domain.counts}")
-        if not np.isfinite(arr).all():
-            raise ValueError("non-finite value in alternating field")
-        self.domain = domain
-        self.entries = arr
+    order, kind, column_prefix, noun = 3, "alt3", "t", "alternating"
 
     @property
     def triples(self) -> tuple[tuple[int, int, int], ...]:
-        return triple_indices(self.domain.m)
-
-    def triple_position(self, k: int, i: int, j: int) -> int:
-        return self.triples.index((k, i, j))
-
-    def entry(self, k: int, i: int, j: int) -> np.ndarray:
-        """Signed per-node entry for an arbitrary index triple."""
-        if len({k, i, j}) < 3:
-            return np.zeros(self.domain.counts)
-        order = sorted((k, i, j))
-        sign = _permutation_sign((k, i, j))
-        return sign * self.entries[self.triple_position(*order)]
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries))) if self.entries.size else 0.0
-
-    def __repr__(self):
-        return f"Alternating3Field(m={self.domain.m}, shape={self.domain.counts})"
-
-
-def _permutation_sign(indices) -> int:
-    sign = 1
-    idx = list(indices)
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if idx[a] > idx[b]:
-                sign = -sign
-    return sign
+        return self.indices
 
 
 class SingularMask:
@@ -291,7 +280,7 @@ def field_scale(field) -> float:
     """max(1, max-norm of the stored values); relative tolerances use this."""
     if isinstance(field, np.ndarray):
         arr = field
-    elif isinstance(field, (SkewField, Alternating3Field)):
+    elif isinstance(field, _AlternatingField):
         arr = field.entries
     else:
         arr = field.values

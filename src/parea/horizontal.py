@@ -26,6 +26,7 @@ from .grids import (
     axis_derivative,
     gradient,
     gradient_values,
+    index_positions,
     integrate_values,
     pair_indices,
     require_same_domain,
@@ -102,30 +103,34 @@ def tangential_derivative(nu: VectorField, f: ScalarField) -> VectorField:
     return VectorField(domain, g.values - nu.values * along)
 
 
-def _component_gradients(domain: GridDomain, values: np.ndarray) -> np.ndarray:
-    """dnu[i, j] = d_i values[j]; shape (m, m, *counts)."""
-    out = np.empty((domain.m,) + values.shape)
-    for j, component in enumerate(values):
-        out[:, j] = gradient_values(domain, component)
-    return out
+def _normal_derivatives(domain: GridDomain, nu: np.ndarray, curl_entries: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dnu[i, j] = d_i nu_j, shape (m, m, *counts); the advection
+    c_j = nu_k d_k nu_j; and the contraction s_i = nu_k h_ik, read from the
+    curl's upper-triangle entries (h_ik = -h_ki)."""
+    dnu = np.empty((domain.m,) + nu.shape)
+    for j, component in enumerate(nu):
+        dnu[:, j] = gradient_values(domain, component)
+    c = np.einsum("k...,kj...->j...", nu, dnu)
+    # pairs come lexicographically, so each s_i sums its terms in increasing k
+    s = np.zeros_like(nu)
+    for (i, k), p in index_positions(domain.m, 2).items():
+        s[i] += nu[k] * curl_entries[p]
+        s[k] -= nu[i] * curl_entries[p]
+    return dnu, c, s
 
 
 def _curl_identity_residual(domain: GridDomain, nu: np.ndarray, d: np.ndarray,
-                            h: SkewField, mask: np.ndarray | None) -> SkewField:
+                            h: np.ndarray, mask: np.ndarray | None) -> SkewField:
     """LHS - RHS of the identity
     delta_i nu_j - delta_j nu_i = (h_ij - nu_j nu_k h_ik - nu_i nu_k h_kj)/D,
-    zeroed on masked nodes."""
-    dnu = _component_gradients(domain, nu)
-    # c[j] = nu_k d_k nu_j
-    c = np.einsum("k...,kj...->j...", nu, dnu)
-    # s[i] = nu_k h_ik  (note h_ik = -h_ki)
-    hmat = h.dense()
-    s = np.einsum("k...,ik...->i...", nu, hmat)
+    for the curl's upper-triangle entries h, zeroed on masked nodes."""
+    dnu, c, s = _normal_derivatives(domain, nu, h)
     safe_d = np.where(mask, 1.0, d) if mask is not None else d
-    out = np.empty_like(h.entries)
+    out = np.empty_like(h)
     for p, (i, j) in enumerate(pair_indices(domain.m)):
         lhs = dnu[i, j] - dnu[j, i] - nu[i] * c[j] + nu[j] * c[i]
-        rhs = (h.entries[p] - nu[j] * s[i] + nu[i] * s[j]) / safe_d
+        rhs = (h[p] - nu[j] * s[i] + nu[i] * s[j]) / safe_d
         out[p] = lhs - rhs
     if mask is not None:
         out[:, mask] = 0.0
@@ -141,7 +146,8 @@ def structure_identity_residual(u: ScalarField, f: VectorField,
     order under refinement.
     """
     nu, mask, d = _normal_and_weight(u, f, tau)
-    return _curl_identity_residual(nu.domain, nu.values, d, curl_matrix(f), mask.flags)
+    return _curl_identity_residual(nu.domain, nu.values, d, curl_matrix(f).entries,
+                                   mask.flags)
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,6 @@ class SingularStats:
     """Flagged fraction plus the largest fully-flagged discrete ball radius."""
     fraction: float
     ball_radius: int
-    flagged: int
-    total: int
 
 
 def singular_stats(mask: SingularMask) -> SingularStats:
@@ -161,8 +165,6 @@ def singular_stats(mask: SingularMask) -> SingularStats:
     grid counted as unflagged, so the search erodes once per radius until
     nothing is left."""
     flags = mask.flags
-    flagged = int(flags.sum())
-    total = flags.size
     radius = 0
     eroded = flags.copy()
     for r in range(1, min((n - 1) // 2 for n in mask.domain.counts) + 1):
@@ -173,8 +175,7 @@ def singular_stats(mask: SingularMask) -> SingularStats:
         if not eroded.any():
             break
         radius = r
-    return SingularStats(fraction=flagged / total, ball_radius=radius,
-                         flagged=flagged, total=total)
+    return SingularStats(fraction=int(flags.sum()) / flags.size, ball_radius=radius)
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,8 @@ def _pointwise_magnitude(field) -> np.ndarray:
         return np.abs(field.values)
     if isinstance(field, VectorField):
         return np.sqrt(np.sum(field.values ** 2, axis=0))
-    # skew and alternating fields: the largest stored entry
-    if field.entries.shape[0] == 0:
-        return np.zeros(field.domain.counts)
-    return np.max(np.abs(field.entries), axis=0)
+    # alternating fields: the largest stored entry (zeros when there is none)
+    return np.max(np.abs(field.entries), axis=0, initial=0.0)
 
 
 def residual_norms(field, mask: SingularMask | None = None) -> ResidualNorms:

@@ -35,14 +35,14 @@ from .grids import (
     divergence,
     field_scale,
     gradient_values,
-    pair_indices,
+    index_positions,
     require_same_domain,
     triple_indices,
 )
 from .horizontal import (
     DEFAULT_SINGULAR_TOL,
-    _component_gradients,
     _curl_identity_residual,
+    _normal_derivatives,
     curl_matrix,
     horizontal_normal,
 )
@@ -60,7 +60,7 @@ def _frobenius_entries(v: np.ndarray, e: np.ndarray) -> np.ndarray:
     """T on increasing triples, shape (ntriples, *counts), from the normal's
     values v and the curl's upper-triangle entries e."""
     m = v.shape[0]
-    pos = {pair: p for p, pair in enumerate(pair_indices(m))}
+    pos = index_positions(m, 2)
     triples = triple_indices(m)
     entries = np.empty((len(triples),) + v.shape[1:])
     for t, (k, i, j) in enumerate(triples):
@@ -147,18 +147,18 @@ def tangential_curl_residual(nu: VectorField, d: ScalarField,
     delta_i nu_j - delta_j nu_i = (h_ij - nu_j nu_k h_ik - nu_i nu_k h_kj)/D
     for a prescribed triple (nu, D, F) with D > 0 and nu unit."""
     domain = _check_triple(nu, d, f)
-    return _curl_identity_residual(domain, nu.values, d.values, curl_matrix(f), None)
+    return _curl_identity_residual(domain, nu.values, d.values, curl_matrix(f).entries,
+                                   None)
 
 
 def _triple_derivatives(nu: VectorField, d: ScalarField, f: VectorField):
-    """grad(D), dnu[i, j] = d_i nu_j, nu . grad(D) and the contraction
-    nu_i h_ik of nu against the curl of F, for a checked triple, with its
-    domain."""
+    """For a checked triple, with its domain: grad(D), dnu[i, j] = d_i nu_j,
+    the advection c_k = nu_j d_j nu_k, nu . grad(D) and the contraction
+    s_k = nu_i h_ki of nu against the curl of F."""
     domain = _check_triple(nu, d, f)
     dd = gradient_values(domain, d.values)
-    nu_h = np.einsum("i...,ik...->k...", nu.values, curl_matrix(f).dense())
-    return (domain, dd, _component_gradients(domain, nu.values),
-            np.einsum("i...,i...->...", nu.values, dd), nu_h)
+    dnu, c, s = _normal_derivatives(domain, nu.values, curl_matrix(f).entries)
+    return domain, dd, dnu, c, np.einsum("i...,i...->...", nu.values, dd), s
 
 
 def normal_contraction_residual(nu: VectorField, d: ScalarField,
@@ -167,24 +167,22 @@ def normal_contraction_residual(nu: VectorField, d: ScalarField,
     weighted normal form:
     res_k = nu_k nu_i d_i D - d_k D + nu_j (d_j nu_k - d_k nu_j) D - nu_i h_ik.
     """
-    domain, dd, dnu, nu_dot_dd, nu_h = _triple_derivatives(nu, d, f)
+    domain, dd, dnu, a, nu_dot_dd, s = _triple_derivatives(nu, d, f)
     v = nu.values
-    # a[k] = nu_j (d_j nu_k - d_k nu_j)
-    a = (np.einsum("j...,jk...->k...", v, dnu)
-         - np.einsum("j...,kj...->k...", v, dnu))
-    res = v * nu_dot_dd - dd + a * d.values - nu_h
-    return VectorField(domain, res)
+    # a[k] = nu_j (d_j nu_k - d_k nu_j), reduced in place from the advection;
+    # dnu (m^2 node arrays) is freed before the result is formed
+    a -= np.einsum("j...,kj...->k...", v, dnu)
+    del dnu
+    return VectorField(domain, v * nu_dot_dd - dd + a * d.values + s)
 
 
 def weight_equation_residual(nu: VectorField, d: ScalarField,
                              f: VectorField) -> VectorField:
     """Residual of the first-order system in the weight:
     res_k = delta_k D - nu_j (d_j nu_k) D + nu_j h_jk."""
-    domain, dd, dnu, nu_dot_dd, nu_h = _triple_derivatives(nu, d, f)
-    v = nu.values
-    delta_d = dd - v * nu_dot_dd
-    advect = np.einsum("j...,jk...->k...", v, dnu)
-    return VectorField(domain, delta_d - advect * d.values + nu_h)
+    domain, dd, _, advect, nu_dot_dd, s = _triple_derivatives(nu, d, f)
+    # delta_k D = d_k D - nu_k nu . grad(D)
+    return VectorField(domain, dd - nu.values * nu_dot_dd - advect * d.values - s)
 
 
 def codazzi_residual_2d(nu: VectorField, d: ScalarField) -> ScalarField:

@@ -10,6 +10,7 @@ grad(u) ~ U) is available for noisy inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,6 @@ class PotentialResult:
     field: ScalarField
     closedness_max: float
     path_discrepancy: float
-    base: tuple[int, ...]
     method: str
 
 
@@ -126,7 +126,8 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
     corner). Staircase integration walks axis 1 first, then axis 2, and so
     on; the closedness tolerance is deliberately looser than the
     integrability classification threshold because the path accumulates
-    O(h^2) node errors over O(1/h) steps.
+    O(h^2) node errors over O(1/h) steps. `tol` must satisfy
+    0 <= tol < inf; tol = 0 demands exact closedness.
     """
     domain = u.domain
     if base is None:
@@ -137,6 +138,8 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
         raise ValueError(f"base {base} outside the grid")
     if method not in ("staircase", "least-squares"):
         raise ValueError(f"unknown method {method!r}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"closedness tol must be finite and nonnegative, got {tol}")
 
     residual = closedness_residual(u)
     scale = field_scale(u)
@@ -173,8 +176,7 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
 
     return PotentialResult(field=ScalarField(domain, potential),
                            closedness_max=max_abs,
-                           path_discrepancy=discrepancy,
-                           base=base, method=method)
+                           path_discrepancy=discrepancy, method=method)
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from .fieldio import format_real
-from .grids import MAX_DIMENSION, dense_skew, pair_indices
+from .grids import MAX_DIMENSION, dense_skew, index_positions, pair_indices
 
 DEFAULT_RANK_TOL = 1e-9
 # `triangle_ranks` works on blocks of this many matrices, so its scaled
@@ -122,7 +123,7 @@ def paired_spectrum(s) -> np.ndarray:
     return 0.5 * (sigma[..., 0:-1:2] + sigma[..., 1::2])
 
 
-def _pfaffian(e: np.ndarray, pos: dict, idx: tuple[int, ...]) -> np.ndarray:
+def _pfaffian(e: np.ndarray, pos: Mapping, idx: tuple[int, ...]) -> np.ndarray:
     """Pfaffian of the principal submatrix on the increasing indices `idx`
     (even in number), expanded along its first row; e[pos[i, j]] holds
     entry (i, j) of every matrix of the stack."""
@@ -141,12 +142,11 @@ def _certified_full_rank(e: np.ndarray, m: int, tol: float) -> np.ndarray:
     (npairs, n), provably have rank 2 * floor(m/2) at threshold tol:
     P > max(4 tol, 1e-12) (see the module docstring). False wherever the
     SVD has to decide."""
-    pairs = pair_indices(m)
     # zero and non-finite matrices turn into NaN here and fail the test
     with np.errstate(divide="ignore", invalid="ignore"):
         e = e / np.maximum(e.max(axis=0), -e.min(axis=0))  # max |entry|, no |e| copy
     r2 = np.einsum("p...,p...->...", e, e)  # R^2 in units of the largest entry
-    pos = {pair: p for p, pair in enumerate(pairs)}
+    pos = index_positions(m, 2)
     orders = ([tuple(range(m))] if m % 2 == 0
               else [tuple(i for i in range(m) if i != d) for d in range(m)])
     pf2 = sum(_pfaffian(e, pos, idx) ** 2 for idx in orders)

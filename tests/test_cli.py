@@ -72,6 +72,19 @@ class TestReconstruct:
                        "--out", str(tmp_path))
         assert code == int(ExitCode.NOT_CLOSED)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_is_config_error(self, tmp_path, tol):
+        # a NaN or infinite bound would accept this non-closed candidate
+        code = run_cli("reconstruct", "--scenario", "example_4_2", "--tol", tol,
+                       "--out", str(tmp_path))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert not (tmp_path / "potential.pfld").exists()
+
+    def test_zero_tol_demands_exact_closedness(self, tmp_path):
+        code = run_cli("reconstruct", "--scenario", "example_4_2", "--tol", "0",
+                       "--out", str(tmp_path))
+        assert code == int(ExitCode.NOT_CLOSED)
+
     def test_file_inputs(self, tmp_path):
         d = build_domain(2, [0.1, 0], [1, 1], [17, 17])
         f = sample_vector(d, [lambda x, y: -y, lambda x, y: x])

@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from parea.grids import (
+    Alternating3Field,
     ScalarField,
     SkewField,
     VectorField,
@@ -202,6 +206,23 @@ class TestFieldContainers:
         for i in range(4):
             for j in range(4):
                 assert np.array_equal(dense[i, j], h.entry(i, j))
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    @pytest.mark.parametrize("cls, order", [(SkewField, 2), (Alternating3Field, 3)])
+    def test_entry_reads_antisymmetric_tensor(self, cls, order, m):
+        d = build_domain(m, [0] * m, [1] * m, [5] * m)
+        stored = np.random.default_rng(m).standard_normal(
+            (math.comb(m, order),) + d.counts)
+        # the full tensor: each stored entry copied to every permutation of
+        # its increasing index tuple, times the permutation's sign
+        tensor = np.zeros((m,) * order + d.counts)
+        for p, idx in enumerate(itertools.combinations(range(m), order)):
+            for perm in itertools.permutations(range(order)):
+                sign = round(np.linalg.det(np.eye(order)[list(perm)]))
+                tensor[tuple(idx[q] for q in perm)] = sign * stored[p]
+        field = cls(d, stored)
+        for index in itertools.product(range(m), repeat=order):
+            assert np.array_equal(field.entry(*index), tensor[index])
 
     def test_field_scale_floors_at_one(self):
         d = unit_square(5)

@@ -253,7 +253,7 @@ def reference_identity_residual(u, f, tau=1e-6):
 
 
 class TestStructureIdentity:
-    @pytest.mark.parametrize("m, n", [(2, 17), (3, 9), (4, 6)])
+    @pytest.mark.parametrize("m, n", [(2, 17), (3, 9), (4, 6), (5, 5), (6, 5)])
     def test_matches_pairwise_reference(self, m, n):
         u, f, g = seeded_pair(m, n, 7)
         for field in (f, g):

@@ -1,17 +1,26 @@
 import numpy as np
 import pytest
 
+from parea import grids as grids_module
+from parea import skewalg as skewalg_module
 from parea.grids import (
     ScalarField,
     VectorField,
     build_domain,
     field_scale,
     gradient,
+    gradient_values,
+    pair_indices,
     sample,
     sample_vector,
     triple_indices,
 )
-from parea.horizontal import curl_matrix, horizontal_normal, weight
+from parea.horizontal import (
+    curl_matrix,
+    horizontal_normal,
+    structure_identity_residual,
+    weight,
+)
 from parea.integrability import (
     IntegrabilityLabel,
     classify_integrability,
@@ -240,6 +249,74 @@ class TestWeightEquationEquivalence:
         data = builtin_scenario("example_4_2").build()
         res = weight_equation_residual(data["nu"], data["d"], data["f"])
         assert np.max(np.abs(res.values)) <= 1e-12
+
+
+def smooth_triple(m, n, seed):
+    """A smooth (u, F) pair with the weight bounded away from zero, and the
+    (nu, D) it induces."""
+    d = build_domain(m, [0.1] * m, [1.0] * m, [n] * m)
+    u = ScalarField(d, 0.3 * random_smooth_scalar(d, seed, 2).values)
+    base = np.stack([np.full(d.counts, 2.0 + k) for k in range(m)])
+    f = VectorField(d, base + 0.5 * random_smooth_field(d, seed + 1, 2).values)
+    nu, mask = horizontal_normal(u, f)
+    assert not mask.any()
+    return u, nu, weight(u, f), f
+
+
+def dense_reference_residuals(nu, dd, f):
+    """The tangential-curl, normal-contraction and weight-equation residuals
+    written with the dense (m, m, *counts) curl and einsum contractions."""
+    d = nu.domain
+    v, w = nu.values, dd.values
+    dnu = np.empty((d.m, d.m) + d.counts)
+    for j in range(d.m):
+        dnu[:, j] = gradient_values(d, v[j])
+    hmat = curl_matrix(f).dense()
+    c = np.einsum("k...,kj...->j...", v, dnu)
+    s = np.einsum("k...,ik...->i...", v, hmat)
+    tangential = []
+    for i, j in pair_indices(d.m):
+        lhs = dnu[i, j] - dnu[j, i] - v[i] * c[j] + v[j] * c[i]
+        rhs = (hmat[i, j] - v[j] * s[i] + v[i] * s[j]) / w
+        tangential.append(lhs - rhs)
+    grad_d = gradient_values(d, w)
+    nu_dot_dd = np.einsum("i...,i...->...", v, grad_d)
+    nu_h = np.einsum("i...,ik...->k...", v, hmat)
+    a = c - np.einsum("j...,kj...->k...", v, dnu)
+    contraction = v * nu_dot_dd - grad_d + a * w - nu_h
+    weight_eq = grad_d - v * nu_dot_dd - c * w + nu_h
+    return np.stack(tangential), contraction, weight_eq
+
+
+@pytest.mark.parametrize("m, n", [(2, 17), (3, 9), (4, 6), (5, 5), (6, 5)])
+class TestTriangleContractions:
+    """The residuals read nu _| h from the curl's stored triangle; they must
+    equal the dense-matrix reference bit for bit."""
+
+    def test_match_dense_reference(self, m, n):
+        _, nu, dd, f = smooth_triple(m, n, 40 + m)
+        tangential, contraction, weight_eq = dense_reference_residuals(nu, dd, f)
+        assert np.array_equal(tangential_curl_residual(nu, dd, f).entries, tangential)
+        assert np.array_equal(normal_contraction_residual(nu, dd, f).values,
+                              contraction)
+        assert np.array_equal(weight_equation_residual(nu, dd, f).values, weight_eq)
+
+    def test_no_dense_curl(self, m, n, monkeypatch):
+        u, nu, dd, f = smooth_triple(m, n, 40 + m)
+        calls = []
+        real = grids_module.dense_skew
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grids_module, "dense_skew", counting)
+        monkeypatch.setattr(skewalg_module, "dense_skew", counting)
+        structure_identity_residual(u, f)
+        tangential_curl_residual(nu, dd, f)
+        normal_contraction_residual(nu, dd, f)
+        weight_equation_residual(nu, dd, f)
+        assert calls == []
 
 
 class TestCodazzi:

@@ -151,6 +151,18 @@ class TestIntegratePotential:
         with pytest.raises(ValueError, match="outside"):
             integrate_potential(u, base=(5, 0))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        data = builtin_scenario("example_4_2").build()
+        cand = candidate_gradient(data["nu"], data["d"], data["f"])
+        with pytest.raises(ValueError, match="tol"):
+            integrate_potential(cand, tol=tol)
+
+    def test_zero_tol_accepts_exactly_closed(self):
+        d = build_domain(2, [0, 0], [1, 1], [9, 9])
+        u = sample_vector(d, [lambda x, y: y, lambda x, y: x])
+        assert integrate_potential(u, tol=0.0).closedness_max == 0.0
+
     def test_least_squares_matches_staircase(self):
         # both integrators land on the same potential within discretization
         # error; the least-squares fit itself must be near machine level
