@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -48,8 +48,10 @@ class GridDomain:
     def m(self) -> int:
         return len(self.counts)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
+        # computed once per instance: every stencil call reads it, and the
+        # cache sits outside the fields, so equality and hashing ignore it
         return tuple(
             (u - l) / (n - 1) for l, u, n in zip(self.lower, self.upper, self.counts)
         )
@@ -347,22 +349,29 @@ def derivative_matrix(domain: GridDomain, axis: int) -> np.ndarray:
     return _derivative_matrix(domain.counts[axis], domain.spacing[axis])
 
 
-def _apply_axis_matrix(mat: np.ndarray, values: np.ndarray,
-                       axis: int) -> np.ndarray:
+def _apply_axis_matrix(mat: np.ndarray, values: np.ndarray, axis: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
     # First and last axes reduce to plain matrix products; middle axes (m >= 3)
-    # go through tensordot.
+    # go through tensordot. `out`, when given, is C-contiguous of the result's
+    # shape, so the flat view below writes into it.
     if axis == 0:
-        shape = values.shape
-        return (mat @ values.reshape(shape[0], -1)).reshape(shape)
+        n = values.shape[0]
+        flat = None if out is None else out.reshape(n, -1)
+        return np.matmul(mat, values.reshape(n, -1), out=flat).reshape(values.shape)
     if axis == values.ndim - 1:
-        return values @ mat.T
-    out = np.tensordot(mat, values, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+        return np.matmul(values, mat.T, out=out)
+    moved = np.moveaxis(np.tensordot(mat, values, axes=(1, axis)), 0, axis)
+    if out is None:
+        return moved
+    out[...] = moved
+    return out
 
 
-def axis_derivative(domain: GridDomain, values: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the per-axis stencil to an array of shape domain.counts."""
-    return _apply_axis_matrix(derivative_matrix(domain, axis), values, axis)
+def axis_derivative(domain: GridDomain, values: np.ndarray, axis: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the per-axis stencil to an array of shape domain.counts, into the
+    C-contiguous array `out` when one is given."""
+    return _apply_axis_matrix(derivative_matrix(domain, axis), values, axis, out)
 
 
 def axis_derivative_adjoint(domain: GridDomain, values: np.ndarray,
@@ -376,7 +385,7 @@ def gradient_values(domain: GridDomain, values: np.ndarray) -> np.ndarray:
     out[k] = axis_derivative(domain, values, k), shape (m, *counts)."""
     out = np.empty((domain.m,) + domain.counts)
     for k in range(domain.m):
-        out[k] = axis_derivative(domain, values, k)
+        axis_derivative(domain, values, k, out=out[k])
     return out
 
 

@@ -117,6 +117,22 @@ def _gradient_operator(domain: GridDomain) -> sparse.csr_matrix:
     return sparse.vstack(blocks, format="csr")
 
 
+def integration_base(domain: GridDomain, base: tuple[int, ...] | None,
+                     tol: float, method: str) -> tuple[int, ...]:
+    """Check `integrate_potential`'s base, tol and method on `domain` and
+    return the base node (default: the lowest-index corner); raises
+    ValueError on any of them, so a caller can validate before it writes."""
+    base = (0,) * domain.m if base is None else tuple(int(b) for b in base)
+    if len(base) != domain.m or any(
+            not 0 <= b < n for b, n in zip(base, domain.counts)):
+        raise ValueError(f"base {base} outside the grid")
+    if method not in ("staircase", "least-squares"):
+        raise ValueError(f"unknown method {method!r}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"closedness tol must be finite and nonnegative, got {tol}")
+    return base
+
+
 def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
                         tol: float = DEFAULT_CLOSEDNESS_TOL,
                         method: str = "staircase") -> PotentialResult:
@@ -130,17 +146,7 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
     0 <= tol < inf; tol = 0 demands exact closedness.
     """
     domain = u.domain
-    if base is None:
-        base = (0,) * domain.m
-    base = tuple(int(b) for b in base)
-    if len(base) != domain.m or any(
-            not 0 <= b < n for b, n in zip(base, domain.counts)):
-        raise ValueError(f"base {base} outside the grid")
-    if method not in ("staircase", "least-squares"):
-        raise ValueError(f"unknown method {method!r}")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"closedness tol must be finite and nonnegative, got {tol}")
-
+    base = integration_base(domain, base, tol, method)
     residual = closedness_residual(u)
     scale = field_scale(u)
     bound = tol * scale

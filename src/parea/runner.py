@@ -28,6 +28,7 @@ from .reconstruction import (
     NotClosedError,
     candidate_gradient,
     integrate_potential,
+    integration_base,
     verify_normal,
 )
 from .scenarios import builtin_scenario, seeded_init
@@ -315,10 +316,12 @@ def _run_check_integrability(config: ExperimentConfig, out: Path) -> ExitCode:
 def _run_reconstruct(config: ExperimentConfig, out: Path) -> ExitCode:
     data = _resolve_inputs(config)
     f = _need(data, "f", "reconstruct")
+    tol = config.tol if config.tol is not None else DEFAULT_CLOSEDNESS_TOL
+    # a rejected input stops here, before any artifact is written
+    integration_base(f.domain, config.base, tol, config.method)
     nu, d = _derive_normal_weight(data)
     u_candidate = candidate_gradient(nu, d, f)
     write_field(u_candidate, out / "candidate.pfld")
-    tol = config.tol if config.tol is not None else DEFAULT_CLOSEDNESS_TOL
     result = integrate_potential(u_candidate, base=config.base, tol=tol,
                                  method=config.method)
     check = verify_normal(result.field, nu, d, f)

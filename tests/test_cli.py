@@ -80,6 +80,29 @@ class TestReconstruct:
         assert code == int(ExitCode.CONFIG_ERROR)
         assert not (tmp_path / "potential.pfld").exists()
 
+    @pytest.mark.parametrize("args", [
+        ("--tol", "nan"), ("--tol", "-1"), ("--base", "99,0"), ("--base", "0"),
+        ("--config", "method=bogus"),
+    ], ids=["tol-nan", "tol-negative", "base-outside", "base-short",
+            "method-unknown"])
+    def test_rejected_input_writes_nothing(self, tmp_path, args):
+        # tol, base and method are checked before candidate.pfld is written
+        flag, value = args
+        if flag == "--config":
+            (tmp_path / "bad.cfg").write_text(value + "\n")
+            value = str(tmp_path / "bad.cfg")
+        out = tmp_path / "out"
+        code = run_cli("reconstruct", "--scenario", "example_4_2", flag, value,
+                       "--out", str(out))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_not_closed_keeps_the_candidate(self, tmp_path):
+        code = run_cli("reconstruct", "--scenario", "example_4_2",
+                       "--out", str(tmp_path))
+        assert code == int(ExitCode.NOT_CLOSED)
+        assert [p.name for p in tmp_path.iterdir()] == ["candidate.pfld"]
+
     def test_zero_tol_demands_exact_closedness(self, tmp_path):
         code = run_cli("reconstruct", "--scenario", "example_4_2", "--tol", "0",
                        "--out", str(tmp_path))

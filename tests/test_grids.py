@@ -9,10 +9,12 @@ from parea.grids import (
     ScalarField,
     SkewField,
     VectorField,
+    axis_derivative,
     build_domain,
     divergence,
     field_scale,
     gradient,
+    gradient_values,
     integrate,
     quadrature_weights,
     sample,
@@ -28,6 +30,17 @@ class TestBuildDomain:
     def test_spacing_unit_square(self):
         d = build_domain(2, [0, 0], [1, 1], [5, 5])
         assert d.spacing == (0.25, 0.25)
+
+    def test_cached_spacing_leaves_equality_and_hash_alone(self):
+        # spacing is cached on first read; equal boxes stay equal, hash
+        # alike and serve as one dict key whether or not it has been read
+        a = build_domain(3, [0, 0, 0], [1, 2, 3], [5, 9, 7])
+        b = build_domain(3, [0, 0, 0], [1, 2, 3], [5, 9, 7])
+        assert a.spacing == (0.25, 0.25, 0.5)
+        assert "spacing" in vars(a) and "spacing" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != build_domain(3, [0, 0, 0], [1, 2, 3], [5, 9, 9])
 
     def test_spacing_m4(self):
         d = build_domain(4, [0, -1, 0, -1], [1, 0, 1, 0], [9, 9, 9, 9])
@@ -112,6 +125,21 @@ class TestGradient:
         g = gradient(sample(d, lambda x, y: x * x + 3 * x * y + y * y))
         assert np.max(np.abs(g.values[0] - (2 * x + 3 * y))) < 1e-13
         assert np.max(np.abs(g.values[1] - (3 * x + 2 * y))) < 1e-13
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_out_buffer_matches_allocating_path(self, m):
+        # the stencil written into a slot of a stacked buffer is bit for bit
+        # the freshly allocated one on every axis, the middle axes included
+        counts = (5, 6, 7, 5, 6, 5)[:m]
+        d = build_domain(m, [0.0] * m, [1.0 + 0.1 * k for k in range(m)], counts)
+        values = np.random.default_rng(m).standard_normal(counts)
+        stacked = np.empty((m,) + counts)
+        for axis in range(m):
+            expected = axis_derivative(d, values, axis)
+            returned = axis_derivative(d, values, axis, out=stacked[axis])
+            assert np.array_equal(returned, expected)
+            assert stacked[axis].tobytes() == expected.tobytes()
+        assert gradient_values(d, values).tobytes() == stacked.tobytes()
 
 
 class TestDivergence:

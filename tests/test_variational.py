@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from parea import grids as grids_module
 from parea import integrability as integrability_module
 from parea import variational as variational_module
 from parea.cli import main
@@ -278,6 +279,38 @@ class TestMinimize:
         steps = sum(stage.iterations for stage in result.stages)
         assert len(calls) == d.m * (steps + len(result.stages))
 
+    def test_objective_stencils_go_through_the_shared_hook(self, monkeypatch):
+        # every objective evaluation inside minimize applies the forward
+        # stencil once per axis through grids.axis_derivative, where the
+        # benchmark's stencil counter wraps it; a private fast path that
+        # bypassed that name would break this count
+        stencils = []
+        values = []
+        forward = grids_module.axis_derivative
+        value = variational_module._SmoothedObjective.value
+
+        def counting_stencil(*args, **kwargs):
+            stencils.append(1)
+            return forward(*args, **kwargs)
+
+        def counting_value(*args, **kwargs):
+            values.append(1)
+            return value(*args, **kwargs)
+
+        monkeypatch.setattr(grids_module, "axis_derivative", counting_stencil)
+        monkeypatch.setattr(variational_module._SmoothedObjective, "value",
+                            counting_value)
+        for m, n in ((2, 17), (3, 9)):
+            stencils.clear()
+            values.clear()
+            d = build_domain(m, [0] * m, [1] * m, [n] * m)
+            f = random_smooth_field(d, 3, 1)
+            boundary = sample(d, lambda *x: x[0] * x[1])
+            opts = MinimizeOptions(first_order_tol=1e-6, max_iterations=40)
+            minimize(f, None, boundary, seeded_init(boundary, 2), opts)
+            assert len(values) > 2 * len(variational_module._EPS_SCHEDULE)
+            assert len(stencils) == m * len(values)
+
     def test_log_text_format(self):
         d = build_domain(2, [0, 0], [1, 1], [9, 9])
         f = heisenberg_field(d)
@@ -318,6 +351,34 @@ def test_minimize_golden_digests(tmp_path):
                 digests[f"{out.name}/{artifact}"] = hashlib.sha256(
                     (out / artifact).read_bytes()).hexdigest()
     assert digests == json.loads(_MINIMIZE_GOLDEN.read_text())
+
+
+_MINIMIZE_ND_GOLDEN = Path(__file__).parent / "data" / "minimize_golden_nd_sha256.json"
+
+
+def test_minimize_golden_digests_higher_dimensions():
+    """The solver's path where the 2-D golden test does not reach: the
+    middle-axis stencils of m = 3 with a nonzero H, and m = 4 without H.
+    SHA-256 of the minimizer's values and of the convergence log."""
+    d3 = build_domain(3, [0] * 3, [1] * 3, [9] * 3)
+    b3 = sample(d3, lambda x, y, z: x * y + z)
+    d4 = build_domain(4, [0] * 4, [1] * 4, [7] * 4)
+    b4 = sample(d4, lambda a, b, c, e: a * b + c * e)
+    cases = {
+        "m3_9_h": (random_smooth_field(d3, 3, 1),
+                   sample(d3, lambda x, y, z: 0.5 * np.cos(x) * y - z),
+                   b3, seeded_init(b3, 4)),
+        "m4_7": (heisenberg_field(d4), None, b4, seeded_init(b4, 2)),
+    }
+    opts = MinimizeOptions(max_iterations=40, first_order_tol=1e-8)
+    digests = {}
+    for name, (f, h, boundary, init) in cases.items():
+        result = minimize(f, h, boundary, init, opts)
+        digests[f"{name}/field"] = hashlib.sha256(
+            result.field.values.tobytes()).hexdigest()
+        digests[f"{name}/log"] = hashlib.sha256(
+            result.log_text().encode()).hexdigest()
+    assert digests == json.loads(_MINIMIZE_ND_GOLDEN.read_text())
 
 
 class TestStationarityPairing:
