@@ -74,7 +74,6 @@ from .variational import (
     LineProfile,
     MinimizeOptions,
     MinimizeResult,
-    SkewCoefficients,
     SolverDivergenceError,
     UniquenessReport,
     first_order_residual,

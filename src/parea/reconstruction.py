@@ -27,6 +27,7 @@ from .grids import (
     require_same_domain,
 )
 from .horizontal import DEFAULT_SINGULAR_TOL, _normal_and_weight, curl_matrix
+from .integrability import _check_triple
 
 DEFAULT_CLOSEDNESS_TOL = 1e-3
 
@@ -49,9 +50,7 @@ def candidate_gradient(nu: VectorField, d: ScalarField,
                        f: VectorField) -> VectorField:
     """U = D*nu - F, the field that must be a gradient for nu to be the
     horizontal normal of some potential with weight D."""
-    domain = require_same_domain(nu, d, f)
-    if not np.all(d.values > 0):
-        raise ValueError("weight must be positive")
+    domain = _check_triple(nu, d, f)
     return VectorField(domain, d.values * nu.values - f.values)
 
 

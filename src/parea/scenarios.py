@@ -313,12 +313,12 @@ def _check_heisenberg(data: dict) -> list[CheckOutcome]:
 def _roundtrip_fields(domain: GridDomain):
     f = sample_vector(domain, [lambda x, y: -y, lambda x, y: x])
     u_star = sample(domain, lambda x, y: np.sin(x) + x * y)
-    nu, mask, d = _normal_and_weight(u_star, f)
-    return f, u_star, ScalarField(domain, d), nu, mask
+    nu, _, d = _normal_and_weight(u_star, f)
+    return f, u_star, ScalarField(domain, d), nu
 
 
 def _roundtrip_error(domain: GridDomain) -> tuple[float, float, float]:
-    f, u_star, d, nu, _ = _roundtrip_fields(domain)
+    f, u_star, d, nu = _roundtrip_fields(domain)
     result = integrate_potential(candidate_gradient(nu, d, f))
     shifted = u_star.values - u_star.values[(0,) * domain.m]
     err = float(np.max(np.abs(result.field.values - shifted)))
@@ -327,8 +327,8 @@ def _roundtrip_error(domain: GridDomain) -> tuple[float, float, float]:
 
 
 def _build_roundtrip(domain: GridDomain, seed: int) -> dict:
-    f, u_star, d, nu, mask = _roundtrip_fields(domain)
-    return {"f": f, "u": u_star, "d": d, "nu": nu, "mask": mask}
+    f, u_star, d, nu = _roundtrip_fields(domain)
+    return {"f": f, "u": u_star, "d": d, "nu": nu}
 
 
 def _check_roundtrip(data: dict) -> list[CheckOutcome]:

@@ -38,13 +38,12 @@ matrix -S^2, which is safe once the rank is known to be two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .fieldio import format_real
 from .grids import MAX_DIMENSION, dense_skew, index_positions, pair_indices
 
 DEFAULT_RANK_TOL = 1e-9
@@ -55,7 +54,8 @@ _CERTIFY_BLOCK = 4096
 
 @dataclass(frozen=True)
 class SkewMatrix:
-    """Skew-symmetric matrix stored by its strict upper triangle."""
+    """Constant skew-symmetric matrix a stored by its strict upper triangle; as
+    coefficients it maps G to (sum_k a[j,k] G_k)_j, pointwise orthogonal to G."""
 
     m: int
     triangle: tuple[float, ...]
@@ -65,6 +65,8 @@ class SkewMatrix:
         if len(self.triangle) != expected:
             raise ValueError(
                 f"need {expected} upper-triangle entries for m={self.m}")
+        if not all(math.isfinite(x) for x in self.triangle):
+            raise ValueError("non-finite entry in skew matrix")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -75,6 +77,8 @@ class SkewMatrix:
         arr = np.asarray(mat, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.isfinite(arr).all():
+            raise ValueError("non-finite entry in skew matrix")
         scale = max(1.0, float(np.max(np.abs(arr))))
         if np.max(np.abs(arr + arr.T)) > tol * scale:
             raise ValueError("matrix is not skew-symmetric")
@@ -92,23 +96,6 @@ def _dense(s, stack: bool = False) -> np.ndarray:
             or arr.shape[-2] != arr.shape[-1]):
         raise ValueError("matrix must be square")
     return arr
-
-
-def write_skew_matrix(s, destination) -> None:
-    """Text form: `SKEW m=<int>` then the upper-triangle entries."""
-    if not isinstance(s, SkewMatrix):
-        s = SkewMatrix.from_matrix(s)
-    body = " ".join(format_real(x) for x in s.triangle)
-    Path(destination).write_text(f"SKEW m={s.m}\n{body}\n", encoding="ascii")
-
-
-def read_skew_matrix(source) -> SkewMatrix:
-    text = Path(source).read_text(encoding="ascii").split()
-    if len(text) < 2 or text[0] != "SKEW" or not text[1].startswith("m="):
-        raise ValueError("malformed skew matrix file")
-    m = int(text[1][2:])
-    entries = tuple(float(t) for t in text[2:])
-    return SkewMatrix(m=m, triangle=entries)
 
 
 def paired_spectrum(s) -> np.ndarray:

@@ -29,6 +29,7 @@ from .grids import (
     gradient,
     gradient_values,
     integrate_values,
+    pair_indices,
     quadrature_weights,
     require_same_domain,
 )
@@ -40,47 +41,23 @@ from .horizontal import (
     horizontal_normal,
 )
 from .integrability import DEFAULT_CLASSIFY_TOL, IntegrabilityLabel, _classify
-from .skewalg import DEFAULT_RANK_TOL, triangle_ranks
+from .skewalg import DEFAULT_RANK_TOL, SkewMatrix, triangle_ranks
 
 
 # --------------------------------------------------------------------------
 # Constant antisymmetric coefficient maps
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SkewCoefficients:
-    """Constant real coefficients a with a^T = -a, defining the linear map
-    G -> (sum_k a[j,k] G_k)_j. The image is pointwise orthogonal to G."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("coefficients must be a square matrix")
-        if not np.array_equal(arr, -arr.T):
-            raise ValueError("coefficients must be exactly antisymmetric")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-
-def pairwise_rotation(m: int) -> SkewCoefficients:
+def pairwise_rotation(m: int) -> SkewMatrix:
     """The block rotation coefficients a[2j,2j+1] = 1 = -a[2j+1,2j] that send
     (G_1, G_2, ...) to (G_2, -G_1, G_4, -G_3, ...); m must be even."""
     if m % 2 != 0:
         raise ValueError(f"the default pairwise rotation needs even m, got m={m}")
-    a = np.zeros((m, m))
-    for j in range(m // 2):
-        a[2 * j, 2 * j + 1] = 1.0
-        a[2 * j + 1, 2 * j] = -1.0
-    return SkewCoefficients(a)
+    return SkewMatrix(m, tuple(1.0 if j == i + 1 and i % 2 == 0 else 0.0
+                               for i, j in pair_indices(m)))
 
 
-def skew_transform(g: VectorField, a: SkewCoefficients) -> VectorField:
+def skew_transform(g: VectorField, a: SkewMatrix) -> VectorField:
     """Componentwise map (sum_k a[j,k] G_k)_j."""
     if a.m != g.domain.m:
         raise ValueError("coefficient dimension does not match the field")
@@ -88,7 +65,7 @@ def skew_transform(g: VectorField, a: SkewCoefficients) -> VectorField:
     return VectorField(g.domain, out)
 
 
-def skew_divergence(f: VectorField, a: SkewCoefficients) -> ScalarField:
+def skew_divergence(f: VectorField, a: SkewMatrix) -> ScalarField:
     """divergence of the transformed field, sum a[j,k] d_j F_k."""
     return divergence(skew_transform(f, a))
 
@@ -440,7 +417,7 @@ def pointwise_skew_rank(field, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 
 def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
-                     h: ScalarField | None, a: SkewCoefficients,
+                     h: ScalarField | None, a: SkewMatrix,
                      tau: float = DEFAULT_SINGULAR_TOL,
                      eta: float = DEFAULT_CLASSIFY_TOL) -> UniquenessReport:
     """Agreement metrics, per-node uniqueness-hypothesis flags, and the transformed

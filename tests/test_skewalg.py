@@ -11,12 +11,10 @@ from parea.skewalg import (
     paired_spectrum,
     rank2_audit,
     rank2_factorize,
-    read_skew_matrix,
     skew_rank,
     skew_ranks,
     spectral_pairs,
     triangle_ranks,
-    write_skew_matrix,
 )
 
 ROT2 = np.array([[0.0, 2.0], [-2.0, 0.0]])
@@ -329,20 +327,13 @@ class TestSkewMatrixType:
         with pytest.raises(ValueError, match="skew"):
             SkewMatrix.from_matrix(np.eye(3))
 
-    def test_file_round_trip(self, tmp_path):
-        s = SkewMatrix.from_matrix(random_skew(np.random.default_rng(10), 5))
-        path = tmp_path / "s.skew"
-        write_skew_matrix(s, path)
-        back = read_skew_matrix(path)
-        assert back.m == 5
-        assert np.array_equal(back.matrix, s.matrix)
-        assert path.read_text().startswith("SKEW m=5\n")
-
-    def test_bare_tag_file_is_malformed(self, tmp_path):
-        path = tmp_path / "s.skew"
-        path.write_text("SKEW\n")
-        with pytest.raises(ValueError, match="malformed skew matrix file"):
-            read_skew_matrix(path)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # checked before any arithmetic: no RuntimeWarning (an error here)
+        with pytest.raises(ValueError, match="non-finite"):
+            SkewMatrix.from_matrix([[0.0, bad], [-bad, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            SkewMatrix(m=3, triangle=(1.0, bad, 0.0))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

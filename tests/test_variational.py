@@ -22,7 +22,6 @@ from parea.grids import (
 )
 from parea.variational import (
     MinimizeOptions,
-    SkewCoefficients,
     first_order_residual,
     first_variation,
     functional,
@@ -45,6 +44,7 @@ from parea.scenarios import (
     random_smooth_scalar,
     seeded_init,
 )
+from parea.skewalg import SkewMatrix
 
 
 def rotation_setup(lower=(0.0, 0.0), n=65):
@@ -84,7 +84,7 @@ class TestSkewTransform:
     def test_planar_rotation(self):
         d = build_domain(2, [0, 0], [1, 1], [9, 9])
         g = sample_vector(d, [lambda x, y: x, lambda x, y: y])
-        a = SkewCoefficients(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        a = SkewMatrix.from_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         out = skew_transform(g, a)
         x, y = d.meshes()
         assert np.array_equal(out.values[0], y)
@@ -106,16 +106,26 @@ class TestSkewTransform:
         assert np.array_equal(out.values[2], g.values[3])
         assert np.array_equal(out.values[3], -g.values[2])
 
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_pairwise_rotation_is_the_block_rotation(self, m):
+        block = np.zeros((m, m))
+        for j in range(m // 2):
+            block[2 * j, 2 * j + 1] = 1.0
+            block[2 * j + 1, 2 * j] = -1.0
+        a = pairwise_rotation(m)
+        assert a.m == m
+        assert np.array_equal(a.matrix, block)
+
     def test_pointwise_orthogonality(self):
         d = build_domain(3, [0] * 3, [1] * 3, [7] * 3)
         g = random_smooth_field(d, 5, 2)
-        a = SkewCoefficients(np.array([[0, 1, -2], [-1, 0, 3], [2, -3, 0]], dtype=float))
+        a = SkewMatrix.from_matrix(np.array([[0, 1, -2], [-1, 0, 3], [2, -3, 0]], dtype=float))
         dots = np.einsum("k...,k...->...", skew_transform(g, a).values, g.values)
         assert np.max(np.abs(dots)) <= 1e-12 * field_scale(g) ** 2
 
     def test_exact_antisymmetry_required(self):
-        with pytest.raises(ValueError, match="antisymmetric"):
-            SkewCoefficients(np.array([[0.0, 1.0], [-0.999, 0.0]]))
+        with pytest.raises(ValueError, match="skew"):
+            SkewMatrix.from_matrix(np.array([[0.0, 1.0], [-0.999, 0.0]]))
 
 
 class TestSkewDivergence:
@@ -132,7 +142,7 @@ class TestSkewDivergence:
 
     def test_zero_coefficients(self):
         d, f, _ = rotation_setup(n=9)
-        a = SkewCoefficients(np.zeros((2, 2)))
+        a = SkewMatrix.from_matrix(np.zeros((2, 2)))
         assert np.all(skew_divergence(f, a).values == 0.0)
 
 
