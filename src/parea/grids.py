@@ -85,12 +85,17 @@ class GridDomain:
         return mask
 
 
+def check_dimension(m: int) -> None:
+    """Raise ValueError unless MIN_DIMENSION <= m <= MAX_DIMENSION."""
+    if not MIN_DIMENSION <= m <= MAX_DIMENSION:
+        raise ValueError(
+            f"dimension m={m} out of range [{MIN_DIMENSION}, {MAX_DIMENSION}]")
+
+
 def build_domain(m: int, lower: Sequence[float], upper: Sequence[float],
                  counts: Sequence[int]) -> GridDomain:
     """Validate and construct a grid domain."""
-    if not (MIN_DIMENSION <= m <= MAX_DIMENSION):
-        raise ValueError(
-            f"dimension m={m} out of range [{MIN_DIMENSION}, {MAX_DIMENSION}]")
+    check_dimension(m)
     lower = tuple(float(x) for x in lower)
     upper = tuple(float(x) for x in upper)
     counts = tuple(int(n) for n in counts)

@@ -185,18 +185,21 @@ def weight_equation_residual(nu: VectorField, d: ScalarField,
     return VectorField(domain, dd - nu.values * nu_dot_dd - advect * d.values - s)
 
 
-def codazzi_residual_2d(nu: VectorField, d: ScalarField) -> ScalarField:
-    """div(D * nu_perp) - 2 with nu_perp = (nu_2, -nu_1).
+def codazzi_residual_2d(nu: VectorField, d: ScalarField,
+                        f: VectorField) -> ScalarField:
+    """div(D * nu_perp) - h_12 with nu_perp = (nu_2, -nu_1) and h = curl(F).
 
-    The planar reduction of the contracted-closedness condition for the
-    standard rotation field F = (-y, x); only defined for m = 2.
+    The planar reduction of the contracted-closedness condition: for
+    D nu = grad(u) + F, D nu_perp = (u_y + F_2, -u_x - F_1), whose divergence
+    is h_12 = d_1 F_2 - d_2 F_1 (2 for the rotation field F = (-y, x));
+    only defined for m = 2.
     """
-    domain = require_same_domain(nu, d)
+    domain = require_same_domain(nu, d, f)
     if domain.m != 2:
         raise ValueError("codazzi_residual_2d requires m = 2")
     perp = np.stack([nu.values[1], -nu.values[0]])
     flux = VectorField(domain, d.values * perp)
-    return ScalarField(domain, divergence(flux).values - 2.0)
+    return ScalarField(domain, divergence(flux).values - curl_matrix(f).entry(0, 1))
 
 
 def renormalize_normal(nu: VectorField) -> VectorField:

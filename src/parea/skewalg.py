@@ -44,7 +44,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .grids import MAX_DIMENSION, dense_skew, index_positions, pair_indices
+from .grids import (
+    MAX_DIMENSION,
+    check_dimension,
+    dense_skew,
+    index_positions,
+    pair_indices,
+)
 
 DEFAULT_RANK_TOL = 1e-9
 # `triangle_ranks` works on blocks of this many matrices, so its scaled
@@ -61,6 +67,7 @@ class SkewMatrix:
     triangle: tuple[float, ...]
 
     def __post_init__(self):
+        check_dimension(self.m)
         expected = len(pair_indices(self.m))
         if len(self.triangle) != expected:
             raise ValueError(
@@ -77,6 +84,7 @@ class SkewMatrix:
         arr = np.asarray(mat, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
+        check_dimension(arr.shape[0])  # before any reduction over arr
         if not np.isfinite(arr).all():
             raise ValueError("non-finite entry in skew matrix")
         scale = max(1.0, float(np.max(np.abs(arr))))

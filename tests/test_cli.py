@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -121,6 +124,33 @@ class TestReconstruct:
         rec = read_field(out / "potential.pfld")
         shifted = u.values - u.values[0, 0]
         assert np.max(np.abs(rec.values - shifted)) < 1e-12
+
+
+def run_fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter, so no module that this
+    test process already imported is loaded there."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+class TestDeferredScipy:
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, parea.cli; "
+                "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+        assert run_fresh_python(code).strip() == "[]"
+
+    def test_least_squares_loads_scipy_on_first_use(self, tmp_path):
+        argv = ["reconstruct", "--scenario", "smooth_roundtrip", "--resolution", "9",
+                "--method", "least-squares", "--out"]
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        code = ("import contextlib, io, sys, parea.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = parea.cli.main({argv + [str(fresh)]!r})\n"
+                "print(code, 'scipy.sparse.linalg' in sys.modules)")
+        assert run_fresh_python(code).split() == ["0", "True"]
+        assert run_cli(*argv, str(here)) == 0
+        assert (fresh / "potential.csv").read_bytes() == (here / "potential.csv").read_bytes()
 
 
 class TestEvaluate:

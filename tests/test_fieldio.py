@@ -12,7 +12,9 @@ from hypothesis.extra.numpy import arrays
 from parea.cli import main
 from parea.fieldio import (
     FieldFormatError,
+    _format_columns,
     _split_header,
+    format_real,
     read_field,
     write_csv,
     write_field,
@@ -265,6 +267,22 @@ def test_writers_match_value_by_value_layout(tmp_path, field):
     assert back.domain == field.domain
     assert np.array_equal(_field_blocks(back)[1].view(np.uint64),
                           _field_blocks(field)[1].view(np.uint64))
+
+
+def test_batched_formatting_matches_format_real():
+    """One `%` template over a column's distinct values gives the strings of
+    `format_real`, and of `format(x, ".17g")`, value by value."""
+    edges = _SPECIAL_REALS + [-sys.float_info.min, 1e16, 1e17, -1e17, 1 / 3,
+                              2.0 ** 53 + 2, 123456789.0, 1e-300, 1e300]
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 64, 4000, dtype=np.uint64, endpoint=False)
+    random = bits.view(np.float64)
+    column = np.concatenate([edges, random[np.isfinite(random)]])
+    strings, index = _format_columns([column, column[::-1]])
+    for k, col in enumerate([column, column[::-1]]):
+        got = strings[index[:, k]].tolist()
+        assert got == [format_real(x) for x in col]
+        assert got == [_reference_fmt(x) for x in col]
 
 
 _GOLDEN = Path(__file__).parent / "data" / "fieldio_golden_sha256.json"

@@ -325,14 +325,14 @@ class TestCodazzi:
         f = heisenberg_field(d)
         u = sample(d, lambda x, y: x * y)
         nu, _ = horizontal_normal(u, f)
-        res = codazzi_residual_2d(nu, weight(u, f))
+        res = codazzi_residual_2d(nu, weight(u, f), f)
         assert np.max(np.abs(res.values)) < 1e-12
 
     def test_constant_data(self):
         d = unit_box(2, 9)
         nu = constant_vector(d, [1.0, 0.0])
         one = ScalarField(d, np.ones(d.counts))
-        res = codazzi_residual_2d(nu, one)
+        res = codazzi_residual_2d(nu, one, heisenberg_field(d))
         assert np.array_equal(res.values, np.full(d.counts, -2.0))
 
     def test_potential_data_round_off_only(self):
@@ -343,8 +343,18 @@ class TestCodazzi:
             f = heisenberg_field(d)
             u = sample(d, lambda x, y: x * y + 0.1 * np.sin(x + y))
             nu, _ = horizontal_normal(u, f)
-            res = codazzi_residual_2d(nu, weight(u, f))
+            res = codazzi_residual_2d(nu, weight(u, f), f)
             assert np.max(np.abs(res.values)) <= 1e-11
+
+    def test_non_rotation_field(self):
+        # the residual subtracts curl(F)'s entry h_12, not the rotation
+        # field's constant 2: for F = (-x^2 y, cos(x) y) it is round-off only
+        d = build_domain(2, [0.1, 0.1], [1, 1], [33, 33])
+        f = sample_vector(d, [lambda x, y: -x * x * y, lambda x, y: np.cos(x) * y])
+        u = sample(d, lambda x, y: np.sin(x) + x * y + 3 * x)
+        nu, _ = horizontal_normal(u, f)
+        res = codazzi_residual_2d(nu, weight(u, f), f)
+        assert np.max(np.abs(res.values)) <= 1e-10
 
     def test_perturbed_weight_second_order(self):
         # scaling the weight by (1+x) gives the closed form
@@ -359,7 +369,7 @@ class TestCodazzi:
             x, y = d.meshes()
             dd = weight(u, f)
             scaled = ScalarField(d, (1.0 + x) * dd.values)
-            res = codazzi_residual_2d(nu, scaled)
+            res = codazzi_residual_2d(nu, scaled, f)
             exact = 4.0 * x + 0.1 * x * np.cos(x * y)
             errs.append(np.max(np.abs(res.values - exact)))
         assert 3.4 <= errs[0] / errs[1] <= 4.6
@@ -369,7 +379,7 @@ class TestCodazzi:
         nu = constant_vector(d, [1.0, 0.0, 0.0])
         one = ScalarField(d, np.ones(d.counts))
         with pytest.raises(ValueError, match="m = 2"):
-            codazzi_residual_2d(nu, one)
+            codazzi_residual_2d(nu, one, constant_vector(d, [0.0, 0.0, 0.0]))
 
 
 class TestRenormalize:

@@ -5,12 +5,14 @@ from parea.grids import (
     ScalarField,
     VectorField,
     build_domain,
+    gradient,
     sample,
     sample_vector,
 )
 from parea.horizontal import horizontal_normal, weight
 from parea.reconstruction import (
     NotClosedError,
+    _gradient_operator,
     candidate_gradient,
     closedness_residual,
     integrate_potential,
@@ -173,6 +175,45 @@ class TestIntegratePotential:
         gap = np.max(np.abs(stair.field.values - lsq.field.values))
         assert gap <= 5e-3
         assert lsq.path_discrepancy <= 1e-8
+
+
+def _old_lsqr_potential(u: VectorField) -> np.ndarray:
+    """The least-squares potential as LSQR computed it on the stacked system
+    itself, whose adjoint products scipy forms from the CSR matrix."""
+    from scipy import sparse
+    from scipy.sparse import linalg as sparse_linalg
+
+    domain = u.domain
+    gauge = sparse.csr_matrix((np.ones(1), ([0], [0])), shape=(1, domain.node_count))
+    system = sparse.vstack([_gradient_operator(domain), gauge], format="csr")
+    target = np.concatenate([u.values.reshape(domain.m, -1).ravel(), [0.0]])
+    solution = sparse_linalg.lsqr(system, target, atol=1e-14, btol=1e-14,
+                                  iter_lim=10 * domain.node_count)[0]
+    potential = solution.reshape(domain.counts)
+    return potential - potential[(0,) * domain.m]
+
+
+class TestLeastSquaresAdjoint:
+    """LSQR's adjoint products through the explicit CSR transpose add the same
+    terms in the same order as scipy's transposed product: same bits."""
+
+    @pytest.mark.parametrize("n", [33, 65])
+    def test_planar_bit_identical(self, n):
+        data = builtin_scenario("smooth_roundtrip").build(counts=n)
+        cand = candidate_gradient(data["nu"], data["d"], data["f"])
+        lsq = integrate_potential(cand, method="least-squares")
+        assert np.array_equal(lsq.field.values.view(np.uint64),
+                              _old_lsqr_potential(cand).view(np.uint64))
+
+    @pytest.mark.parametrize("m, n", [(3, 9), (4, 7)])
+    def test_higher_dimensions_bit_identical(self, m, n):
+        d = build_domain(m, [0.1] * m, [1.0] * m, [n] * m)
+        phi = sample(d, lambda *x: np.sin(sum((k + 1) * c for k, c in enumerate(x)))
+                     + x[0] * x[-1] ** 2)
+        cand = gradient(phi)
+        lsq = integrate_potential(cand, method="least-squares")
+        assert np.array_equal(lsq.field.values.view(np.uint64),
+                              _old_lsqr_potential(cand).view(np.uint64))
 
 
 class TestVerifyNormal:

@@ -335,6 +335,18 @@ class TestSkewMatrixType:
         with pytest.raises(ValueError, match="non-finite"):
             SkewMatrix(m=3, triangle=(1.0, bad, 0.0))
 
+    @pytest.mark.parametrize("m", [-3, 0, 1, 7])
+    def test_rejects_dimension_out_of_range(self, m):
+        # a triangle of the length m implies, so only m itself is at fault
+        with pytest.raises(ValueError, match="out of range"):
+            SkewMatrix(m=m, triangle=(0.0,) * (m * (m - 1) // 2 if m > 0 else 0))
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_from_matrix_rejects_dimension_out_of_range(self, n):
+        # checked before any reduction: a 0x0 matrix never reaches np.max
+        with pytest.raises(ValueError, match="out of range"):
+            SkewMatrix.from_matrix(np.zeros((n, n)))
+
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
