@@ -10,13 +10,14 @@ File layout::
     kind=scalar | kind=vector c=<m> | kind=skew | kind=alt3
     <whitespace-separated decimal values>
 
+The layout comes from the field classes in `grids`. A field of order k
+(scalar 0, vector 1, skew 2, alt3 3) carries C(m, k) blocks of node values,
+one per strictly increasing index tuple in lexicographic order, each in flat
+C order (last axis fastest); its class names the kind tag and the CSV column
+template. Each block starts on a new line and holds 8 values per line, the
+last line of a block shorter when the node count is not a multiple of 8.
 Values are written with 17 significant digits so a write/read round trip is
-lossless for IEEE doubles. Scalar fields carry one block of node values in
-flat C order (last axis fastest); vector fields carry m consecutive blocks;
-skew fields m(m-1)/2 blocks in (i<j) lexicographic pair order; alternating
-3-tensors C(m,3) blocks in lexicographic triple order. Each block starts on
-a new line and holds 8 values per line, the last line of a block shorter
-when the node count is not a multiple of 8.
+lossless for IEEE doubles.
 
 Writers format each distinct value once: every block (or CSV column) is
 reduced to its distinct float64 bit patterns, which are formatted with
@@ -29,7 +30,9 @@ written are the same as formatting every value in turn.
 The reader parses the header, then splits the body once and converts the
 tokens with `float`, so any token `float` accepts (`1_0`, `+1e3`) is read
 as `float` reads it; tabs and blank lines separate values like spaces.
-Every malformed file raises `FieldFormatError`.
+The kind line must be exactly `kind=<tag>`, or `kind=vector c=<m>`: a
+trailing token makes the header malformed. Every malformed file raises
+`FieldFormatError`.
 """
 
 from __future__ import annotations
@@ -44,11 +47,8 @@ from .grids import (
     Alternating3Field,
     GridDomain,
     ScalarField,
-    SingularMask,
     SkewField,
     VectorField,
-    _AlternatingField,
-    alternating_indices,
     build_domain,
 )
 
@@ -101,19 +101,21 @@ def _write_rows(out, strings: np.ndarray, index: np.ndarray, sep: str) -> None:
         out.write(template * cells.shape[0] % tuple(cells.ravel().tolist()))
 
 
-def _blocks_of(field) -> tuple[str, list[np.ndarray]]:
-    if isinstance(field, ScalarField):
-        return "kind=scalar", [field.values]
-    if isinstance(field, VectorField):
-        return f"kind=vector c={field.domain.m}", list(field.values)
-    if isinstance(field, _AlternatingField):
-        return f"kind={field.kind}", list(field.entries)
-    raise TypeError(f"unsupported field type {type(field).__name__}")
+# The field class each `kind=` tag names.
+_KINDS = {cls.kind: cls
+          for cls in (ScalarField, VectorField, SkewField, Alternating3Field)}
+
+
+def _kind_line(cls, m: int) -> str:
+    """The exact `kind=` line of a field class; a vector's also states its
+    component count."""
+    return f"kind={cls.kind} c={m}" if cls is VectorField else f"kind={cls.kind}"
 
 
 def write_field(field, destination) -> None:
     """Write a field to `.pfld` text; the inverse of `read_field`."""
-    kind_line, blocks = _blocks_of(field)
+    if getattr(field, "kind", None) is None:
+        raise TypeError(f"unsupported field type {type(field).__name__}")
     domain = field.domain
     header = [
         FORMAT_TAG,
@@ -121,11 +123,11 @@ def write_field(field, destination) -> None:
         "counts=" + " ".join(str(n) for n in domain.counts),
         "lower=" + " ".join(format_real(x) for x in domain.lower),
         "upper=" + " ".join(format_real(x) for x in domain.upper),
-        kind_line,
+        _kind_line(type(field), domain.m),
     ]
     with open(destination, "w", encoding="ascii") as out:
         out.write("\n".join(header) + "\n")
-        for block in blocks:
+        for block in field.blocks:
             strings, index = _format_columns([block])
             full = index.shape[0] - index.shape[0] % _VALUES_PER_LINE
             _write_rows(out, strings, index[:full].reshape(-1, _VALUES_PER_LINE), " ")
@@ -156,13 +158,9 @@ def _split_header(text: str) -> tuple[list[str], str]:
     return lines, ""
 
 
-# The field class each `kind=` tag names.
-_KINDS = {"scalar": ScalarField, "vector": VectorField,
-          **{cls.kind: cls for cls in (SkewField, Alternating3Field)}}
-
-
-def _parse_kind(line: str, m: int) -> tuple[type, int]:
-    """The field class the `kind=` line names and its number of value blocks."""
+def _parse_kind(line: str, m: int) -> type:
+    """The field class the `kind=` line names; the line's tokens must be
+    exactly those `write_field` writes."""
     tokens = line.split()
     if not tokens:
         raise FieldFormatError("malformed header: empty kind line")
@@ -170,16 +168,11 @@ def _parse_kind(line: str, m: int) -> tuple[type, int]:
     cls = _KINDS.get(kind)
     if cls is None:
         raise FieldFormatError(f"malformed header: unknown kind {kind!r}")
-    if cls is ScalarField:
-        return cls, 1
-    if cls is VectorField:
-        if len(tokens) != 2:
-            raise FieldFormatError("malformed header: vector kind needs c=<m>")
-        c = int(_header_value(tokens[1], "c"))
-        if c != m:
-            raise FieldFormatError(f"malformed header: vector c={c} != m={m}")
-        return cls, m
-    return cls, len(alternating_indices(m, cls.order))
+    expected = _kind_line(cls, m)
+    if tokens != expected.split():
+        raise FieldFormatError(
+            f"malformed header: expected {expected!r}, got {line.strip()!r}")
+    return cls
 
 
 def _first_bad_token(tokens: list[str]) -> FieldFormatError:
@@ -209,7 +202,7 @@ def read_field(source):
         lower = [float(t) for t in _header_value(lines[3].strip(), "lower").split()]
         upper = [float(t) for t in _header_value(lines[4].strip(), "upper").split()]
         domain = build_domain(m, lower, upper, counts)
-        cls, nblocks = _parse_kind(lines[5], m)
+        cls = _parse_kind(lines[5], m)
     except FieldFormatError:
         raise
     except ValueError as exc:
@@ -217,7 +210,8 @@ def read_field(source):
 
     tokens = body.split()
     # Python ints: a hostile `counts=` line cannot wrap the expected count.
-    expected = nblocks * math.prod(domain.counts)
+    shape = cls.value_shape(domain)
+    expected = math.prod(shape)
     if len(tokens) != expected:
         raise FieldFormatError(
             f"count mismatch: expected {expected} values, found {len(tokens)}")
@@ -228,30 +222,14 @@ def read_field(source):
     if not np.isfinite(values).all():
         raise _first_bad_token(tokens)
 
-    blocks = values.reshape((nblocks,) + domain.counts)
-    return cls(domain, blocks[0] if cls is ScalarField else blocks)
-
-
-def _csv_columns(field) -> tuple[list[str], list[np.ndarray]]:
-    if isinstance(field, ScalarField):
-        return ["value"], [field.values]
-    if isinstance(field, VectorField):
-        return [f"v{k + 1}" for k in range(field.domain.m)], list(field.values)
-    if isinstance(field, _AlternatingField):
-        names = [field.column_prefix + "".join(f"_{i + 1}" for i in idx)
-                 for idx in field.indices]
-        return names, list(field.entries)
-    if isinstance(field, SingularMask):
-        return ["flag"], [field.flags.astype(float)]
-    raise TypeError(f"unsupported field type {type(field).__name__}")
+    return cls(domain, values.reshape(shape))
 
 
 def write_csv(field, destination) -> None:
     """One row per node: coordinates then value(s), flat C node order."""
     domain: GridDomain = field.domain
-    names, cols = _csv_columns(field)
-    header = ",".join([f"x{k + 1}" for k in range(domain.m)] + names)
-    strings, index = _format_columns(list(domain.meshes()) + cols)
+    header = ",".join([f"x{k + 1}" for k in range(domain.m)] + field.column_names)
+    strings, index = _format_columns(list(domain.meshes()) + list(field.blocks))
     with open(destination, "w", encoding="ascii") as out:
         out.write(header + "\n")
         _write_rows(out, strings, index, ",")

@@ -150,91 +150,101 @@ def dense_skew(entries, m: int) -> np.ndarray:
     return out
 
 
-class ScalarField:
-    """One real value per grid node."""
+class _Field:
+    """A per-node alternating tensor of order `order`: `values` stacks one node
+    array per strictly increasing index tuple of `alternating_indices(m,
+    order)`, shape (C(m, order), *counts), with no leading axis at order 0.
+    Every other index tuple reads as the stored entry times the sign of its
+    sorting permutation, or zero at a repeated index, so antisymmetry holds
+    by construction.
+
+    A subclass declares its `order`, its `.pfld` kind tag (None: it has no
+    `.pfld` form) and its CSV column template, which each 1-based index
+    tuple fills; `fieldio` reads the whole layout from these."""
+
+    order = 0
+    kind: str | None = None
+    column: str
+    dtype: type = float
 
     def __init__(self, domain: GridDomain, values):
-        arr = _frozen_array(values)
-        if arr.shape != domain.counts:
-            raise ValueError(f"values shape {arr.shape} != domain shape {domain.counts}")
-        if not np.isfinite(arr).all():
-            raise ValueError("non-finite value in scalar field")
-        self.domain = domain
-        self.values = arr
-
-    def __repr__(self):
-        return f"ScalarField(shape={self.domain.counts})"
-
-
-class VectorField:
-    """m real components per grid node, stacked as values[k] = component k."""
-
-    def __init__(self, domain: GridDomain, values):
-        arr = _frozen_array(values)
-        if arr.shape != (domain.m,) + domain.counts:
-            raise ValueError(
-                f"values shape {arr.shape} != {(domain.m,) + domain.counts}")
-        if not np.isfinite(arr).all():
-            raise ValueError("non-finite value in vector field")
-        self.domain = domain
-        self.values = arr
-
-    def norm(self) -> ScalarField:
-        """Pointwise Euclidean norm."""
-        return ScalarField(self.domain, np.sqrt(np.sum(self.values ** 2, axis=0)))
-
-    def __repr__(self):
-        return f"VectorField(m={self.domain.m}, shape={self.domain.counts})"
-
-
-class _AlternatingField:
-    """Per-node alternating tensor of order `order`, stored on the strictly
-    increasing index tuples `alternating_indices(m, order)`: entries[p] holds
-    the entry for the p-th tuple. Every other index tuple reads as the stored
-    entry times the sign of its sorting permutation, or zero at a repeated
-    index, so antisymmetry holds by construction."""
-
-    order: int
-    kind: str  # the `.pfld` kind tag
-    column_prefix: str  # CSV columns are <prefix>_<i1>_<i2>..., 1-based
-    noun: str
-
-    def __init__(self, domain: GridDomain, entries):
-        arr = _frozen_array(entries)
-        shape = (len(alternating_indices(domain.m, self.order)),) + domain.counts
+        arr = _frozen_array(values, self.dtype)
+        shape = self.value_shape(domain)
         if arr.shape != shape:
-            raise ValueError(f"entries shape {arr.shape} != {shape}")
+            raise ValueError(f"values shape {arr.shape} != {shape}")
         if not np.isfinite(arr).all():
-            raise ValueError(f"non-finite value in {self.noun} field")
+            raise ValueError(f"non-finite value in {type(self).__name__}")
         self.domain = domain
-        self.entries = arr
+        self.values = arr
+
+    @classmethod
+    def value_shape(cls, domain: GridDomain) -> tuple[int, ...]:
+        blocks = (len(alternating_indices(domain.m, cls.order)),)
+        return (blocks if cls.order else ()) + domain.counts
 
     @property
     def indices(self) -> tuple[tuple[int, ...], ...]:
         return alternating_indices(self.domain.m, self.order)
 
+    @property
+    def blocks(self) -> np.ndarray:
+        """`values` with the block axis at every order: one node array per
+        index tuple."""
+        return self.values.reshape((len(self.indices),) + self.domain.counts)
+
+    @property
+    def column_names(self) -> list[str]:
+        return [self.column.format(*(i + 1 for i in idx)) for idx in self.indices]
+
     def entry(self, *index: int) -> np.ndarray:
-        """Signed per-node entry for an arbitrary index tuple; a zero array
+        """Signed per-node entry for a tuple of `order` indices; a zero array
         at a repeated index."""
+        if len(index) != self.order:
+            raise ValueError(f"{type(self).__name__} has order {self.order}, "
+                             f"so entry takes {self.order} indices, not {len(index)}")
         if len(set(index)) < self.order:
             return np.zeros(self.domain.counts)
-        stored = self.entries[index_positions(self.domain.m, self.order)[
+        stored = self.blocks[index_positions(self.domain.m, self.order)[
             tuple(sorted(index))]]
         inversions = sum(a > b for a, b in itertools.combinations(index, 2))
         return -stored if inversions % 2 else stored
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries))) if self.entries.size else 0.0
+        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     def __repr__(self):
         return f"{type(self).__name__}(m={self.domain.m}, shape={self.domain.counts})"
+
+
+class ScalarField(_Field):
+    """One real value per grid node."""
+
+    kind, column = "scalar", "value"
+
+
+class VectorField(_Field):
+    """m real components per grid node, stacked as values[k] = component k."""
+
+    order, kind, column = 1, "vector", "v{}"
+
+    def norm(self) -> ScalarField:
+        """Pointwise Euclidean norm."""
+        return ScalarField(self.domain, np.sqrt(np.sum(self.values ** 2, axis=0)))
+
+
+class _AlternatingField(_Field):
+    """Fields of order 2 and up, whose stored blocks are called `entries`."""
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self.values
 
 
 class SkewField(_AlternatingField):
     """Per-node skew-symmetric m x m matrix, stored as upper-triangle entries
     on pair_indices(m)."""
 
-    order, kind, column_prefix, noun = 2, "skew", "h", "skew"
+    order, kind, column = 2, "skew", "h_{}_{}"
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -251,26 +261,28 @@ class Alternating3Field(_AlternatingField):
     Empty for m < 3 (there are no strictly increasing triples).
     """
 
-    order, kind, column_prefix, noun = 3, "alt3", "t", "alternating"
+    order, kind, column = 3, "alt3", "t_{}_{}_{}"
 
     @property
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return self.indices
 
 
-class SingularMask:
+class SingularMask(_Field):
     """Boolean flag per node marking where a defining magnitude is below
     threshold * field_scale."""
+
+    column, dtype = "flag", bool
 
     def __init__(self, domain: GridDomain, flags, threshold: float):
         if not threshold > 0:
             raise ValueError("threshold must be positive")
-        arr = _frozen_array(flags, dtype=bool)
-        if arr.shape != domain.counts:
-            raise ValueError(f"flags shape {arr.shape} != domain shape {domain.counts}")
-        self.domain = domain
-        self.flags = arr
+        super().__init__(domain, flags)
         self.threshold = float(threshold)
+
+    @property
+    def flags(self) -> np.ndarray:
+        return self.values
 
     @property
     def fraction(self) -> float:
@@ -284,13 +296,9 @@ class SingularMask:
 
 
 def field_scale(field) -> float:
-    """max(1, max-norm of the stored values); relative tolerances use this."""
-    if isinstance(field, np.ndarray):
-        arr = field
-    elif isinstance(field, _AlternatingField):
-        arr = field.entries
-    else:
-        arr = field.values
+    """max(1, max-norm of a field's stored values or of an array); relative
+    tolerances use this."""
+    arr = np.asarray(getattr(field, "values", field))
     if arr.size == 0:
         return 1.0
     return max(1.0, float(np.max(np.abs(arr))))

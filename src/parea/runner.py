@@ -146,8 +146,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    lines = [header] + [",".join(_fmt(cell) for cell in row) for row in rows]
+def _write_rows(path: Path, header: str, rows, sep: str = ",") -> None:
+    """A CSV table, or with `sep=" "` and a `# ` header a `.dat` plot file."""
+    lines = [header] + [sep.join(_fmt(cell) for cell in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -157,13 +158,6 @@ def _write_summary(out: Path, rows) -> None:
     print("summary:")
     for key, value in rows:
         print(f"  {str(key):<{width}}  {_fmt(value)}")
-
-
-def _write_columns(path: Path, header: tuple[str, ...], columns) -> None:
-    lines = ["# " + " ".join(header)]
-    for row in zip(*columns):
-        lines.append(" ".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _resolve_inputs(config: ExperimentConfig) -> dict:
@@ -274,8 +268,8 @@ def _run_minimize(config: ExperimentConfig, out: Path) -> ExitCode:
             iters.append(offset + it)
             objectives.append(obj)
         offset += stage.iterations
-    _write_columns(out / "convergence.dat", ("iteration", "objective"),
-                   (iters, objectives))
+    _write_rows(out / "convergence.dat", "# iteration objective",
+                zip(iters, objectives), " ")
     rows = [
         ("converged", result.converged),
         ("objective_init", functional(init, f, h)),
@@ -345,10 +339,9 @@ def _run_rank_analysis(config: ExperimentConfig, out: Path) -> ExitCode:
     ranks = pointwise_skew_rank(h)
     values, counts = np.unique(ranks, return_counts=True)
     write_field(h, out / "curl.pfld")
-    _write_rows(out / "rank_histogram.csv", "rank,count",
-                list(zip(values.tolist(), counts.tolist())))
-    _write_columns(out / "rank_histogram.dat", ("rank", "count"),
-                   (values.tolist(), counts.tolist()))
+    histogram = list(zip(values.tolist(), counts.tolist()))
+    _write_rows(out / "rank_histogram.csv", "rank,count", histogram)
+    _write_rows(out / "rank_histogram.dat", "# rank count", histogram, " ")
     _write_summary(out, [
         ("rank_min", int(ranks.min())),
         ("rank_max", int(ranks.max())),
@@ -395,8 +388,8 @@ def _run_variation_profile(config: ExperimentConfig, out: Path) -> ExitCode:
         raise ConfigError("eps_points must be at least 3")
     eps = np.linspace(0.0, 1.0, config.eps_points)
     profile = line_profile(u, v, f, h, eps)
-    _write_columns(out / "profile.dat", ("eps", "value"),
-                   (profile.eps.tolist(), profile.values.tolist()))
+    _write_rows(out / "profile.dat", "# eps value",
+                zip(profile.eps.tolist(), profile.values.tolist()), " ")
     _write_summary(out, [
         ("eps_points", config.eps_points),
         ("min_second_difference", profile.min_second_difference),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,43 +42,63 @@ def domain():
     return build_domain(2, [0.1, 0], [1, 1], [6, 5])
 
 
-def test_scalar_round_trip_exact(tmp_path, domain):
-    rng = np.random.default_rng(3)
-    f = ScalarField(domain, rng.standard_normal(domain.counts) * 1e3)
-    path = tmp_path / "f.pfld"
-    write_field(f, path)
-    g = read_field(path)
-    assert isinstance(g, ScalarField)
-    assert g.domain == domain
-    assert np.array_equal(f.values, g.values)
+# Every dimension; the first axis is longer than the others, so that an axis
+# mix-up changes the layout. The loop keeps one test per kind.
+_DIMENSIONS = range(2, 7)
 
 
-def test_vector_round_trip(tmp_path, domain):
-    f = sample_vector(domain, [lambda x, y: -y, lambda x, y: x])
-    path = tmp_path / "v.pfld"
-    write_field(f, path)
-    g = read_field(path)
-    assert isinstance(g, VectorField)
-    assert np.array_equal(f.values, g.values)
+def _domain_of_dimension(m):
+    return build_domain(m, [0.1] + [0] * (m - 1), [1] * m, [6] + [5] * (m - 1))
 
 
-def test_skew_round_trip(tmp_path, domain):
-    h = curl_matrix(sample_vector(domain, [lambda x, y: -y * x, lambda x, y: x * x]))
-    path = tmp_path / "h.pfld"
-    write_field(h, path)
-    g = read_field(path)
-    assert isinstance(g, SkewField)
-    assert np.array_equal(h.entries, g.entries)
+def _assert_round_trip(tmp_path, field):
+    """The field comes back bit for bit, as the same class, on the same domain."""
+    path = tmp_path / f"{type(field).__name__}_{field.domain.m}.pfld"
+    write_field(field, path)
+    back = read_field(path)
+    assert type(back) is type(field)
+    assert back.domain == field.domain
+    assert np.array_equal(_field_blocks(back)[1].view(np.uint64),
+                          _field_blocks(field)[1].view(np.uint64))
+
+
+def test_scalar_round_trip_exact(tmp_path):
+    for m in _DIMENSIONS:
+        d = _domain_of_dimension(m)
+        rng = np.random.default_rng(m)
+        _assert_round_trip(tmp_path, ScalarField(d, rng.standard_normal(d.counts) * 1e3))
+
+
+def test_vector_round_trip(tmp_path):
+    for m in _DIMENSIONS:
+        d = _domain_of_dimension(m)
+        f = sample_vector(d, [lambda *x, k=k: x[k] * x[m - 1 - k] - k for k in range(m)])
+        _assert_round_trip(tmp_path, f)
+
+
+def test_skew_round_trip(tmp_path):
+    for m in _DIMENSIONS:
+        d = _domain_of_dimension(m)
+        f = sample_vector(d, [lambda *x, k=k: x[k] * x[(k + 1) % m] ** 2
+                              for k in range(m)])
+        _assert_round_trip(tmp_path, curl_matrix(f))
 
 
 def test_alt3_round_trip(tmp_path):
-    d = build_domain(3, [0, 0, 0], [1, 1, 1], [5, 5, 5])
-    t = Alternating3Field(d, np.random.default_rng(0).standard_normal((1,) + d.counts))
-    path = tmp_path / "t.pfld"
-    write_field(t, path)
-    g = read_field(path)
-    assert isinstance(g, Alternating3Field)
-    assert np.array_equal(t.entries, g.entries)
+    """Includes the empty field at m = 2, which has no triples."""
+    for m in _DIMENSIONS:
+        d = _domain_of_dimension(m)
+        entries = np.random.default_rng(m).standard_normal((math.comb(m, 3),) + d.counts)
+        _assert_round_trip(tmp_path, Alternating3Field(d, entries))
+
+
+def test_write_field_refuses_singular_mask(tmp_path, domain):
+    """A mask has a CSV form but no `.pfld` kind, so nothing is written."""
+    mask = SingularMask(domain, np.ones(domain.counts, dtype=bool), 1e-6)
+    path = tmp_path / "mask.pfld"
+    with pytest.raises(TypeError, match="SingularMask"):
+        write_field(mask, path)
+    assert not path.exists()
 
 
 def test_header_structure(tmp_path, domain):
@@ -369,6 +390,39 @@ def test_empty_kind_line_exits_4(tmp_path):
         code = main(["check-integrability", "--u", str(u), "--f", str(f),
                      "--out", str(tmp_path / "out")])
         assert code == 4
+
+
+@pytest.mark.parametrize("kind, bad_line", [
+    ("scalar", "kind=scalar c=7 junk"),
+    ("scalar", "kind=scalar junk"),
+    ("skew", "kind=skew c=2"),
+    ("alt3", "kind=alt3 junk"),
+    ("vector", "kind=vector c=3 junk"),
+])
+def test_kind_line_must_be_exact(tmp_path, capsys, kind, bad_line):
+    """Any token beyond `kind=<tag>`, or beyond `kind=vector c=<m>`, makes the
+    header malformed: `read_field` raises and the CLI exits 4."""
+    d = build_domain(3, [0, 0, 0], [1, 1, 1], [5, 5, 5])
+    rng = np.random.default_rng(5)
+    fields = {"scalar": ScalarField(d, rng.standard_normal(d.counts)),
+              "vector": VectorField(d, rng.standard_normal((3,) + d.counts)),
+              "skew": SkewField(d, rng.standard_normal((3,) + d.counts)),
+              "alt3": Alternating3Field(d, rng.standard_normal((1,) + d.counts))}
+    u, f = tmp_path / "u.pfld", tmp_path / "f.pfld"
+    write_field(fields["scalar"], u)
+    write_field(fields["vector"], f)
+    bad = f if kind == "vector" else u
+    write_field(fields[kind], bad)
+    lines = bad.read_text().splitlines()
+    assert bad_line.startswith(lines[5] + " ")  # the written line plus tokens
+    lines[5] = bad_line
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError, match="malformed header"):
+        read_field(bad)
+    capsys.readouterr()
+    code = main(["evaluate", "--u", str(u), "--f", str(f), "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert "malformed header" in capsys.readouterr().out
 
 
 def test_infinite_bound_exits_4(tmp_path):

@@ -20,6 +20,8 @@ from parea.grids import (
     sample,
     sample_vector,
 )
+from parea.horizontal import curl_matrix
+from parea.scenarios import builtin_scenario
 
 
 def unit_square(n=9):
@@ -251,6 +253,17 @@ class TestFieldContainers:
         field = cls(d, stored)
         for index in itertools.product(range(m), repeat=order):
             assert np.array_equal(field.entry(*index), tensor[index])
+
+    def test_entry_checks_arity(self):
+        """An index tuple whose length is not the field's order is an error
+        naming the order, not a zero array or a bare KeyError."""
+        h = curl_matrix(builtin_scenario("heisenberg(2)").build(5, 0)["f"])
+        assert np.array_equal(h.entry(0, 1), h.entries[0])
+        for index in [(), (0,), (0, 0, 1), (0, 1, 2)]:
+            with pytest.raises(ValueError, match="order 2"):
+                h.entry(*index)
+        with pytest.raises(ValueError, match="order 0"):
+            sample(h.domain, lambda *x: x[0]).entry(0)
 
     def test_field_scale_floors_at_one(self):
         d = unit_square(5)
