@@ -1,9 +1,10 @@
 """Command-line surface; a thin layer over the experiment runner.
 
-Every subcommand accepts `--config <key=value file>` with command-line flags
-taking precedence, writes its artifacts under `--out`, and uses the shared
-exit codes (0 ok, 2 assertion failure, 3 not closed, 4 I/O or config error,
-5 solver non-convergence). `PAREA_THREADS` caps internal parallelism.
+Each subcommand takes `--config <key=value file>` (command-line flags win),
+`--out <dir>` for its artifacts, and a flag for each other config key its
+operation reads in `runner.PIPELINES`; any other flag or key exits 4. Exit
+codes are shared: 0 ok, 2 assertion failure, 3 not closed, 4 I/O or config
+error, 5 solver non-convergence. `PAREA_THREADS` caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -21,6 +22,24 @@ from .runner import (
     run,
 )
 
+# Flag help by config key, or by (subcommand, key) where it reads differently.
+_HELP = {
+    "out": "output directory (default parea-out)",
+    "scenario": "built-in scenario name, e.g. example_2_2 or heisenberg(1)",
+    "seed": "random seed (default 0)",
+    "resolution": "nodes per axis: one int or comma list",
+    "tol": "singular threshold of the weight",
+    ("reconstruct", "tol"): "closedness tolerance of the candidate gradient",
+    "eta": "integrability classification threshold",
+    "method": "potential integration method: staircase (default) or least-squares",
+    "base": "base node multi-index, comma list",
+    "eps_points": "profile sample count on [0, 1]",
+    "max_iterations": "solver iteration cap per stage",
+    "first_order_tol": "solver interior residual tolerance",
+    **{key: f"path to the {key} field (.pfld)" for key in INPUT_KEYS},
+}
+
+
 class _ParserError(Exception):
     pass
 
@@ -30,42 +49,19 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--out", help="output directory (default parea-out)")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
-    parser.add_argument("--resolution",
-                        help="nodes per axis: one int or comma list")
-    parser.add_argument("--tol", type=float,
-                        help="singular threshold / closedness tolerance")
-    parser.add_argument("--eta", type=float,
-                        help="integrability classification threshold")
-    parser.add_argument("--method", choices=("staircase", "least-squares"),
-                        help="potential integration method")
-    parser.add_argument("--base", help="base node multi-index, comma list")
-    parser.add_argument("--eps-points", type=int, dest="eps_points",
-                        help="profile sample count on [0, 1]")
-    parser.add_argument("--max-iterations", type=int, dest="max_iterations",
-                        help="solver iteration cap per stage")
-    parser.add_argument("--first-order-tol", type=float, dest="first_order_tol",
-                        help="solver interior residual tolerance")
-    parser.add_argument("--scenario", help="built-in scenario supplying inputs")
-    for key in INPUT_KEYS:
-        parser.add_argument(f"--{key}", help=f"path to the {key} field (.pfld)")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="parea",
+    # flags match by full name only: `--h` must not stand for `--help`
+    parser = _Parser(prog="parea", allow_abbrev=False,
                      description="numerical laboratory for weighted-gradient "
                                  "area functionals on grid domains")
     sub = parser.add_subparsers(dest="operation", required=True,
                                 parser_class=_Parser)
-    for op in PIPELINES:
-        p = sub.add_parser(op)
-        if op == "scenario":
-            p.add_argument("name", help="scenario name, e.g. example_2_2 or "
-                                        "heisenberg(1)")
-        _add_common(p)
+    for name, op in PIPELINES.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="key=value configuration file")
+        for key in op.keys:
+            flag = key if name == key == "scenario" else "--" + key.replace("_", "-")
+            p.add_argument(flag, help=_HELP.get((name, key), _HELP[key]))
     return parser
 
 
@@ -76,9 +72,7 @@ def _mapping_from_args(args: argparse.Namespace) -> dict[str, str]:
     for key in (*CONFIG_FIELDS, *INPUT_KEYS):
         value = getattr(args, key, None)
         if value is not None:
-            mapping[key] = str(value)
-    if args.operation == "scenario":
-        mapping["scenario"] = args.name
+            mapping[key] = value
     return mapping
 
 

@@ -197,15 +197,17 @@ class _Field:
         return [self.column.format(*(i + 1 for i in idx)) for idx in self.indices]
 
     def entry(self, *index: int) -> np.ndarray:
-        """Signed per-node entry for a tuple of `order` indices; a zero array
-        at a repeated index."""
+        """Signed per-node entry for a tuple of `order` indices in 0..m-1; a
+        zero array at a repeated index."""
         if len(index) != self.order:
             raise ValueError(f"{type(self).__name__} has order {self.order}, "
                              f"so entry takes {self.order} indices, not {len(index)}")
+        m = self.domain.m
+        if not all(0 <= i < m for i in index):
+            raise ValueError(f"entry indices run over 0..{m - 1} (m={m}), got {index}")
         if len(set(index)) < self.order:
             return np.zeros(self.domain.counts)
-        stored = self.blocks[index_positions(self.domain.m, self.order)[
-            tuple(sorted(index))]]
+        stored = self.blocks[index_positions(m, self.order)[tuple(sorted(index))]]
         inversions = sum(a > b for a, b in itertools.combinations(index, 2))
         return -stored if inversions % 2 else stored
 

@@ -70,7 +70,7 @@ class ExperimentConfig:
     seed: int = 0
     resolution: tuple[int, ...] | None = None
     tol: float | None = None
-    eta: float | None = None
+    eta: float = DEFAULT_CLASSIFY_TOL
     method: str = "staircase"
     base: tuple[int, ...] | None = None
     eps_points: int = 11
@@ -120,11 +120,14 @@ CONFIG_FIELDS = _config_fields()
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    unknown = set(mapping) - set(CONFIG_FIELDS) - set(INPUT_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "operation" not in mapping:
-        raise ConfigError("config needs an operation")
+    """The config of one operation; a key it does not read is an error."""
+    op = PIPELINES.get(mapping.get("operation"))
+    if op is None:
+        raise ConfigError(f"config needs an operation, one of {', '.join(PIPELINES)}")
+    unread = set(mapping) - {"operation", *op.keys}
+    if unread:
+        raise ConfigError(f"operation {mapping['operation']!r} does not read "
+                          f"{sorted(unread)}")
     values = {}
     for key, (name, parse) in CONFIG_FIELDS.items():
         if key in mapping:
@@ -160,30 +163,27 @@ def _write_summary(out: Path, rows) -> None:
         print(f"  {str(key):<{width}}  {_fmt(value)}")
 
 
-def _resolve_inputs(config: ExperimentConfig) -> dict:
-    """Scenario data first (when named), overlaid by any file inputs."""
+def _resolve_inputs(config: ExperimentConfig, op: Operation) -> dict:
+    """The inputs `op` reads: scenario data first (when named), overlaid by
+    the file inputs; raises ConfigError when a needed one is missing."""
     data: dict = {}
-    if config.scenario:
-        scn = builtin_scenario(config.scenario)
-        data = scn.build(config.resolution, config.seed)
+    if config.scenario and op.needs:
+        data = builtin_scenario(config.scenario).build(config.resolution, config.seed)
     for key, path in config.inputs.items():
+        if key not in op.needs + op.optional:
+            raise ConfigError(f"{config.operation!r} does not read input {key!r}")
         fld = read_field(path)
-        if key in _SCALAR_INPUTS and not isinstance(fld, ScalarField):
-            raise ConfigError(f"input {key}={path} must be a scalar field")
-        if key in _VECTOR_INPUTS and not isinstance(fld, VectorField):
-            raise ConfigError(f"input {key}={path} must be a vector field")
+        kind = ScalarField if key in _SCALAR_INPUTS else VectorField
+        if not isinstance(fld, kind):
+            raise ConfigError(f"input {key}={path} must be a {kind.kind} field")
         if key == "nu":
             fld = renormalize_normal(fld)
         data[key] = fld
+    for key in op.needs:
+        if key not in data:
+            raise ConfigError(f"operation {config.operation!r} needs input {key!r} "
+                              f"(give --{key} or a scenario that provides it)")
     return data
-
-
-def _need(data: dict, key: str, operation: str):
-    if key not in data:
-        raise ConfigError(
-            f"operation {operation!r} needs input {key!r} "
-            f"(give --{key} or a scenario that provides it)")
-    return data[key]
 
 
 def _derive_normal_weight(data: dict):
@@ -203,7 +203,7 @@ def _tau(config: ExperimentConfig) -> float:
 # Pipelines
 # --------------------------------------------------------------------------
 
-def _run_scenario(config: ExperimentConfig, out: Path) -> ExitCode:
+def _run_scenario(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
     if not config.scenario:
         raise ConfigError("scenario operation needs a scenario name")
     scn = builtin_scenario(config.scenario)
@@ -226,11 +226,8 @@ def _run_scenario(config: ExperimentConfig, out: Path) -> ExitCode:
     return ExitCode.ASSERTION_FAILURE
 
 
-def _run_evaluate(config: ExperimentConfig, out: Path) -> ExitCode:
-    data = _resolve_inputs(config)
-    u = _need(data, "u", "evaluate")
-    f = _need(data, "f", "evaluate")
-    h = data.get("h")
+def _run_evaluate(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+    u, f, h = data["u"], data["f"], data.get("h")
     _, mask, d = _normal_and_weight(u, f, _tau(config))  # one kernel call
     value = _functional_from_weight(u, d, h)
     stats = singular_stats(mask)
@@ -247,17 +244,15 @@ def _run_evaluate(config: ExperimentConfig, out: Path) -> ExitCode:
     return ExitCode.OK
 
 
-def _run_minimize(config: ExperimentConfig, out: Path) -> ExitCode:
-    # bad options exit 4 before any work
-    opts = MinimizeOptions(config.max_iterations, config.first_order_tol)
-    data = _resolve_inputs(config)
-    f = _need(data, "f", "minimize")
-    boundary = _need(data, "u", "minimize")
-    h = data.get("h")
-    init = data.get("init")
+def _solver_options(config: ExperimentConfig) -> MinimizeOptions:
+    return MinimizeOptions(config.max_iterations, config.first_order_tol)
+
+
+def _run_minimize(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+    f, boundary, h, init = data["f"], data["u"], data.get("h"), data.get("init")
     if init is None:
         init = seeded_init(boundary, config.seed)
-    result = minimize(f, h, boundary, init, opts)
+    result = minimize(f, h, boundary, init, _solver_options(config))
     write_field(result.field, out / "minimizer.pfld")
     write_csv(result.field, out / "minimizer.csv")
     (out / "convergence.log").write_text(result.log_text(), encoding="ascii")
@@ -285,12 +280,9 @@ def _run_minimize(config: ExperimentConfig, out: Path) -> ExitCode:
     return ExitCode.OK if result.converged else ExitCode.SOLVER_FAILURE
 
 
-def _run_check_integrability(config: ExperimentConfig, out: Path) -> ExitCode:
-    data = _resolve_inputs(config)
-    w = _need(data, "u", "check-integrability")
-    f = _need(data, "f", "check-integrability")
-    eta = config.eta if config.eta is not None else DEFAULT_CLASSIFY_TOL
-    labels = classify_integrability(w, f, _tau(config), eta)
+def _run_check_integrability(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+    w, f = data["u"], data["f"]
+    labels = classify_integrability(w, f, _tau(config), config.eta)
     tensor = labels.tensor
     label_field = ScalarField(w.domain, labels.labels.astype(float))
     write_field(label_field, out / "labels.pfld")
@@ -307,9 +299,8 @@ def _run_check_integrability(config: ExperimentConfig, out: Path) -> ExitCode:
     return ExitCode.OK
 
 
-def _run_reconstruct(config: ExperimentConfig, out: Path) -> ExitCode:
-    data = _resolve_inputs(config)
-    f = _need(data, "f", "reconstruct")
+def _run_reconstruct(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+    f = data["f"]
     tol = config.tol if config.tol is not None else DEFAULT_CLOSEDNESS_TOL
     # a rejected input stops here, before any artifact is written
     integration_base(f.domain, config.base, tol, config.method)
@@ -332,10 +323,8 @@ def _run_reconstruct(config: ExperimentConfig, out: Path) -> ExitCode:
     return ExitCode.OK
 
 
-def _run_rank_analysis(config: ExperimentConfig, out: Path) -> ExitCode:
-    data = _resolve_inputs(config)
-    f = _need(data, "f", "rank-analysis")
-    h = curl_matrix(f)
+def _run_rank_analysis(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+    h = curl_matrix(data["f"])
     ranks = pointwise_skew_rank(h)
     values, counts = np.unique(ranks, return_counts=True)
     write_field(h, out / "curl.pfld")
@@ -350,15 +339,10 @@ def _run_rank_analysis(config: ExperimentConfig, out: Path) -> ExitCode:
     return ExitCode.OK
 
 
-def _run_audit(config: ExperimentConfig, out: Path) -> ExitCode:
-    data = _resolve_inputs(config)
-    u = _need(data, "u", "audit-uniqueness")
-    v = _need(data, "v", "audit-uniqueness")
-    f = _need(data, "f", "audit-uniqueness")
-    h = data.get("h")
+def _run_audit(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+    u, v, f, h = data["u"], data["v"], data["f"], data.get("h")
     a = data.get("a") or pairwise_rotation(f.domain.m)
-    eta = config.eta if config.eta is not None else DEFAULT_CLASSIFY_TOL
-    report = uniqueness_audit(u, v, f, h, a, _tau(config), eta)
+    report = uniqueness_audit(u, v, f, h, a, _tau(config), config.eta)
     rows = [
         ("normal_max", report.normal_max),
         ("normal_l1", report.normal_l1),
@@ -378,12 +362,8 @@ def _run_audit(config: ExperimentConfig, out: Path) -> ExitCode:
     return ExitCode.OK
 
 
-def _run_variation_profile(config: ExperimentConfig, out: Path) -> ExitCode:
-    data = _resolve_inputs(config)
-    u = _need(data, "u", "variation-profile")
-    v = _need(data, "v", "variation-profile")
-    f = _need(data, "f", "variation-profile")
-    h = data.get("h")
+def _run_variation_profile(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+    u, v, f, h = data["u"], data["v"], data["f"], data.get("h")
     if config.eps_points < 3:
         raise ConfigError("eps_points must be at least 3")
     eps = np.linspace(0.0, 1.0, config.eps_points)
@@ -399,29 +379,51 @@ def _run_variation_profile(config: ExperimentConfig, out: Path) -> ExitCode:
     return ExitCode.OK
 
 
+@dataclass(frozen=True)
+class Operation:
+    """What one operation reads. `pipeline(config, data, out)` gets inputs
+    `data`: `needs` always, `optional` when given, from files or from the
+    scenario keys that come with them. `check` vets `options` first."""
+
+    pipeline: typing.Callable[[ExperimentConfig, dict, Path], ExitCode]
+    options: tuple[str, ...] = ()
+    needs: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    check: typing.Callable[[ExperimentConfig], object] = lambda config: None
+
+    @property
+    def keys(self) -> tuple[str, ...]:  # all but `operation`, in CLI flag order
+        source = ("scenario", "seed", "resolution") if self.needs else ()
+        return ("out", *source, *self.options, *self.needs, *self.optional)
+
+
 # One entry per operation; the CLI makes one subcommand of each, in this order.
 PIPELINES = {
-    "evaluate": _run_evaluate,
-    "minimize": _run_minimize,
-    "check-integrability": _run_check_integrability,
-    "reconstruct": _run_reconstruct,
-    "rank-analysis": _run_rank_analysis,
-    "audit-uniqueness": _run_audit,
-    "scenario": _run_scenario,
-    "variation-profile": _run_variation_profile,
+    "evaluate": Operation(_run_evaluate, ("tol",), ("u", "f"), ("h",)),
+    "minimize": Operation(_run_minimize, ("max_iterations", "first_order_tol"),
+                          ("f", "u"), ("h", "init"), check=_solver_options),
+    "check-integrability": Operation(_run_check_integrability, ("tol", "eta"), ("u", "f")),
+    "reconstruct": Operation(_run_reconstruct, ("tol", "base", "method"), ("f",),
+                             ("nu", "d", "u")),
+    "rank-analysis": Operation(_run_rank_analysis, (), ("f",)),
+    "audit-uniqueness": Operation(_run_audit, ("tol", "eta"), ("u", "v", "f"), ("h",)),
+    "scenario": Operation(_run_scenario, ("scenario", "seed", "resolution")),
+    "variation-profile": Operation(_run_variation_profile, ("eps_points",),
+                                   ("u", "v", "f"), ("h",)),
 }
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute one pipeline; returns the process exit code."""
-    pipeline = PIPELINES.get(config.operation)
-    if pipeline is None:
+    op = PIPELINES.get(config.operation)
+    if op is None:
         print(f"error: unknown operation {config.operation!r}")
         return int(ExitCode.CONFIG_ERROR)
     try:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        code = pipeline(config, out)
+        op.check(config)
+        code = op.pipeline(config, _resolve_inputs(config, op), out)
     except NotClosedError as exc:
         print(f"not closed: {exc}")
         return int(ExitCode.NOT_CLOSED)

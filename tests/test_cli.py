@@ -1,7 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +16,13 @@ from parea.cli import main
 from parea.fieldio import read_field, write_field
 from parea.grids import build_domain, sample, sample_vector
 from parea.runner import (
+    INPUT_KEYS,
+    PIPELINES,
     ExitCode,
     ExperimentConfig,
     config_from_mapping,
     load_config,
+    run,
 )
 
 
@@ -344,8 +352,9 @@ class TestConfigFile:
         code = run_cli("evaluate", "--config", str(cfg), "--out", str(tmp_path))
         assert code == int(ExitCode.CONFIG_ERROR)
 
-    def test_every_field_round_trips(self, tmp_path, monkeypatch):
-        # one non-default value per config field, set by flag and by file
+    def test_every_field_round_trips_per_subcommand(self, tmp_path, monkeypatch):
+        # one non-default value per config key; each subcommand sets the keys
+        # it reads by flag and by file, and together they cover every field
         values = {
             "out_dir": str(tmp_path / "o"),
             "scenario": "example_2_2",
@@ -358,29 +367,189 @@ class TestConfigFile:
             "eps_points": 5,
             "max_iterations": 10,
             "first_order_tol": 1e-07,
-            "inputs": {"u": "u.pfld", "nu": "nu.pfld"},
         }
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert fields == set(values) | {"operation"}
+        assert fields == set(values) | {"operation", "inputs"}
 
         def text(value):
             return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
-        pairs = [("out" if name == "out_dir" else name, text(value))
-                 for name, value in values.items() if name != "inputs"]
-        pairs += list(values["inputs"].items())
+        by_key = {("out" if name == "out_dir" else name): (name, value)
+                  for name, value in values.items()}
         seen = []
         monkeypatch.setattr(parea.cli, "run", lambda config: seen.append(config) or 0)
-        argv = ["evaluate"]
-        for key, value in pairs:
-            argv += ["--" + key.replace("_", "-"), value]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{key}={value}\n" for key, value in pairs))
-        assert run_cli(*argv) == 0
-        assert run_cli("evaluate", "--config", str(cfg)) == 0
-        expected = ExperimentConfig(operation="evaluate", **values)
-        assert seen == [expected, expected]
+        covered, inputs_covered = set(), set()
+        for op, entry in PIPELINES.items():
+            settings, inputs, pairs = {}, {}, []
+            for key in entry.keys:
+                if key in INPUT_KEYS:
+                    inputs[key] = f"{key}.pfld"
+                    pairs.append((key, inputs[key]))
+                else:
+                    name, value = by_key[key]
+                    settings[name] = value
+                    pairs.append((key, text(value)))
+            argv = [op]
+            for key, value in pairs:
+                flag = key if op == key == "scenario" else "--" + key.replace("_", "-")
+                argv += [value] if flag == "scenario" else [flag, value]
+            cfg = tmp_path / f"{op}.cfg"
+            cfg.write_text("".join(f"{key}={value}\n" for key, value in pairs))
+            positional = [values["scenario"]] if op == "scenario" else []
+            seen.clear()
+            assert run_cli(*argv) == 0
+            assert run_cli(op, *positional, "--config", str(cfg)) == 0
+            expected = ExperimentConfig(operation=op, **settings, inputs=inputs)
+            assert seen == [expected, expected], op
+            covered |= set(settings)
+            inputs_covered |= set(inputs)
+        assert covered == set(values)
+        assert inputs_covered == set(INPUT_KEYS)
 
     def test_bad_flag_is_config_error(self):
         assert run_cli("scenario") == int(ExitCode.CONFIG_ERROR)
         assert run_cli("definitely-not-a-command") == int(ExitCode.CONFIG_ERROR)
+
+
+# The flags of each subcommand, besides `-h`; `scenario` also takes its name.
+ACCEPTED_FLAGS = {
+    "evaluate": "--config --out --scenario --seed --resolution --tol --u --f --h",
+    "minimize": "--config --out --scenario --seed --resolution --max-iterations "
+                "--first-order-tol --f --u --h --init",
+    "check-integrability": "--config --out --scenario --seed --resolution --tol --eta "
+                           "--u --f",
+    "reconstruct": "--config --out --scenario --seed --resolution --tol --base --method "
+                   "--f --nu --d --u",
+    "rank-analysis": "--config --out --scenario --seed --resolution --f",
+    "audit-uniqueness": "--config --out --scenario --seed --resolution --tol --eta "
+                        "--u --v --f --h",
+    "scenario": "--config --out --seed --resolution",
+    "variation-profile": "--config --out --scenario --seed --resolution --eps-points "
+                         "--u --v --f --h",
+}
+ALL_FLAGS = sorted({flag for flags in ACCEPTED_FLAGS.values() for flag in flags.split()})
+
+
+def _positional(op):
+    return ["example_2_2"] if op == "scenario" else []
+
+
+class TestFlagTable:
+    """Each subcommand takes exactly the flags its operation reads."""
+
+    def test_accepted_flags_are_pinned(self):
+        parser = parea.cli.build_parser()
+        found = {}
+        for op in PIPELINES:
+            found[op] = []
+            for flag in ALL_FLAGS:
+                try:
+                    parser.parse_args([op, *_positional(op), flag, "x"])
+                except parea.cli._ParserError:
+                    continue
+                found[op].append(flag)
+        assert found == {op: sorted(flags.split()) for op, flags in ACCEPTED_FLAGS.items()}
+        assert len(ALL_FLAGS) == 19
+        assert sum(len(flags) for flags in found.values()) == 72
+
+    def test_abbreviated_flag_is_config_error(self, tmp_path):
+        # `--h` would otherwise be read as `--help` where there is no `--h`
+        out = tmp_path / "out"
+        for argv in (["rank-analysis", "--h", "h.pfld"],
+                     ["scenario", "example_2_2", "--res", "9"]):
+            assert run_cli(*argv, "--out", str(out)) == int(ExitCode.CONFIG_ERROR)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "example_2_2", "--u", "missing.pfld"],
+        ["scenario", "example_2_2", "--scenario", "heisenberg(2)"],
+        ["minimize", "--scenario", "heisenberg(1)", "--tol", "0.5"],
+        ["rank-analysis", "--scenario", "heisenberg(2)", "--tol", "0.9"],
+        ["evaluate", "--scenario", "example_2_2", "--nu", "bad.pfld"],
+    ], ids=["scenario-u", "scenario-scenario", "minimize-tol", "rank-tol", "evaluate-nu"])
+    def test_unread_flag_or_key_writes_nothing(self, tmp_path, capsys, argv):
+        *head, flag, value = argv
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == int(ExitCode.CONFIG_ERROR)
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().out
+        key = flag[2:]
+        if (head[0], key) != ("scenario", "scenario"):  # which reads its name as a key
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            code = run_cli(*head, "--config", str(cfg), "--out", str(out))
+            assert code == int(ExitCode.CONFIG_ERROR)
+            assert f"does not read ['{key}']" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_every_unread_flag_and_key_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        for op, flags in ACCEPTED_FLAGS.items():
+            for flag in sorted(set(ALL_FLAGS) - set(flags.split())):
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text(f"{flag[2:].replace('-', '_')}=1\n")
+                code = run_cli(op, *_positional(op), flag, "1", "--out", str(out))
+                assert code == int(ExitCode.CONFIG_ERROR), (op, flag)
+                if (op, flag) == ("scenario", "--scenario"):
+                    continue  # the key is read: `scenario` takes its name positionally
+                code = run_cli(op, *_positional(op), "--config", str(cfg), "--out", str(out))
+                assert code == int(ExitCode.CONFIG_ERROR), (op, flag)
+        assert not out.exists()
+
+    def test_run_rejects_an_undeclared_input(self, tmp_path, capsys):
+        config = ExperimentConfig(operation="scenario", scenario="example_2_2",
+                                  out_dir=str(tmp_path), inputs={"u": "missing.pfld"})
+        assert run(config) == int(ExitCode.CONFIG_ERROR)
+        assert "does not read input 'u'" in capsys.readouterr().out
+        assert not any(tmp_path.iterdir())
+
+    def test_solver_options_are_checked_before_any_input(self, tmp_path, capsys):
+        # the missing files would exit 4 too, but only after the options
+        code = run_cli("minimize", "--u", str(tmp_path / "missing.pfld"),
+                       "--f", str(tmp_path / "missing.pfld"), "--max-iterations", "0",
+                       "--out", str(tmp_path / "out"))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert "max_iterations must be at least 1" in capsys.readouterr().out
+
+    def test_tol_help_names_what_it_sets(self):
+        parser = parea.cli.build_parser()
+        texts = {}
+        for op in ("evaluate", "check-integrability", "audit-uniqueness", "reconstruct"):
+            with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as buf:
+                parser.parse_args([op, "--help"])
+            texts[op] = " ".join(buf.getvalue().split())
+        for op in ("evaluate", "check-integrability", "audit-uniqueness"):
+            assert "--tol TOL singular threshold" in texts[op]
+        assert "--tol TOL closedness tolerance" in texts["reconstruct"]
+        assert "staircase (default) or least-squares" in texts["reconstruct"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _command_line_section():
+    text = README.read_text(encoding="utf-8")
+    return text[text.index("## Command line"):text.index("### Built-in scenarios")]
+
+
+class TestReadme:
+    def test_documented_commands_parse(self):
+        section = _command_line_section()
+        start = section.index("```sh")
+        block = section[start:section.index("```", start + 5)]
+        commands = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("parea ")]
+        assert len(commands) >= len(PIPELINES)
+        parser = parea.cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+        assert {argv[0] for argv in commands} == set(PIPELINES)
+
+    def test_flag_table_matches_the_pinned_flags(self):
+        rows = {}
+        for line in _command_line_section().splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 2 and cells[0].startswith("`") and "--" in cells[1]:
+                rows[cells[0].strip("`").split()[0]] = " ".join(
+                    re.findall(r"--[a-z-]+", cells[1]))
+        common = "--config --out "
+        assert {op: common + flags for op, flags in rows.items()} == ACCEPTED_FLAGS

@@ -265,6 +265,18 @@ class TestFieldContainers:
         with pytest.raises(ValueError, match="order 0"):
             sample(h.domain, lambda *x: x[0]).entry(0)
 
+    def test_entry_checks_range(self):
+        """An index outside 0..m-1 is an error naming m, not a bare KeyError
+        (nor a zero array when it repeats)."""
+        f = builtin_scenario("heisenberg(2)").build(5, 0)["f"]
+        h = curl_matrix(f)
+        for index in [(0, 7), (-1, 0), (0, -3), (4, 4), (0, 4)]:
+            with pytest.raises(ValueError, match=r"0\.\.3 \(m=4\)"):
+                h.entry(*index)
+        with pytest.raises(ValueError, match="m=4"):
+            f.entry(4)
+        assert np.array_equal(h.entry(3, 2), -h.entries[-1])
+
     def test_field_scale_floors_at_one(self):
         d = unit_square(5)
         small = sample(d, lambda x, y: 1e-3 * x)
