@@ -4,8 +4,9 @@ Given (nu, D, F) the candidate gradient is U = D*nu - F. When its discrete
 curl vanishes (within tolerance), a potential u with grad(u) = U is built by
 trapezoidal line integration along the axis-ordered staircase path from a
 base node; integrating again with the axis order reversed gives a
-path-independence audit. A least-squares mode (normal equations for
-grad(u) ~ U) is available for noisy inputs.
+path-independence audit. A least-squares mode is available for noisy inputs:
+it runs LSQR (Paige & Saunders, ACM TOMS 8, 1982) on the stacked gradient
+operator plus one gauge row that pins u at the base node.
 """
 
 from __future__ import annotations
@@ -118,6 +119,138 @@ def _gradient_operator(domain: GridDomain):
     return sparse.vstack(blocks, format="csr")
 
 
+def _sym_ortho(a, b):
+    """Stable Givens rotation (c, s, r) with [c s; -s c] [a; b] = [r; 0]."""
+    if b == 0:
+        return np.sign(a), 0, abs(a)
+    elif a == 0:
+        return 0, np.sign(b), abs(b)
+    elif abs(b) > abs(a):
+        tau = a / b
+        s = np.sign(b) / math.sqrt(1 + tau * tau)
+        c = s * tau
+        r = b / s
+    else:
+        tau = b / a
+        c = np.sign(a) / math.sqrt(1 + tau * tau)
+        s = c * tau
+        r = a / c
+    return c, s, r
+
+
+def _lsqr(system, transpose, b: np.ndarray, atol: float, btol: float,
+          iter_lim: int) -> tuple[np.ndarray, int, int]:
+    """min ||system @ x - b|| by LSQR (Paige & Saunders, ACM TOMS 8, 1982);
+    returns (x, istop, itn).
+
+    A transcription of scipy's BSD-licensed `scipy.sparse.linalg.lsqr` for
+    damp=0, x0=None, conlim=1e8, without calc_var or show: the same scalar
+    recurrences, the same stopping tests in the same order and the same
+    `np.linalg.norm` calls, so the same bits, istop and itn. With damp=0,
+    scipy's dampsq, psi and res2 terms are exact zeros and are left out. The
+    vectors are updated in place; `transpose` is system.T, for the adjoint
+    products.
+    """
+    n = system.shape[1]
+    eps = np.finfo(np.float64).eps
+    ctol = 1 / 1e8  # 1/conlim
+    itn = istop = anorm = ddnorm = xxnorm = z = sn2 = 0
+    cs2 = -1
+
+    # the first vectors of the bidiagonalization: beta*u = b, alfa*v = A'u
+    bnorm = np.linalg.norm(b)
+    beta = bnorm.copy()
+    x = np.zeros(n)
+    if beta > 0:
+        u = (1 / beta) * b
+        v = transpose @ u
+        alfa = np.linalg.norm(v)
+    else:  # b = 0 (or NaN)
+        u, v, alfa = b.copy(), x.copy(), 0
+    if alfa > 0:
+        np.multiply(v, 1 / alfa, out=v)
+    w = v.copy()
+    dk = np.empty(n)
+    rhobar, phibar = alfa, beta
+    if alfa * beta == 0:  # b = 0 or A'b = 0: x = 0 is the solution
+        return x, istop, itn
+
+    while itn < iter_lim:
+        itn = itn + 1
+        # the next step of the bidiagonalization:
+        # beta*u = A v - alfa*u, alfa*v = A'u - beta*v
+        np.multiply(u, alfa, out=u)
+        np.subtract(system @ v, u, out=u)
+        beta = np.linalg.norm(u)
+        if beta > 0:
+            np.multiply(u, 1 / beta, out=u)
+            anorm = math.sqrt(anorm**2 + alfa**2 + beta**2)
+            np.multiply(v, beta, out=v)
+            np.subtract(transpose @ u, v, out=v)
+            alfa = np.linalg.norm(v)
+            if alfa > 0:
+                np.multiply(v, 1 / alfa, out=v)
+
+        # a plane rotation turns the lower-bidiagonal matrix upper-bidiagonal
+        cs, sn, rho = _sym_ortho(rhobar, beta)
+        theta = sn * alfa
+        rhobar = -cs * alfa
+        phi = cs * phibar
+        phibar = sn * phibar
+        tau = sn * phi
+
+        # update x and w; dk then serves as scratch for t1*w
+        t1 = phi / rho
+        t2 = -theta / rho
+        np.multiply(w, 1 / rho, out=dk)
+        ddnorm = ddnorm + np.linalg.norm(dk)**2
+        np.multiply(w, t1, out=dk)
+        np.add(x, dk, out=x)
+        np.multiply(w, t2, out=w)
+        np.add(v, w, out=w)
+
+        # a plane rotation on the right removes theta and estimates norm(x)
+        delta = sn2 * rho
+        gambar = -cs2 * rho
+        rhs = phi - delta * z
+        zbar = rhs / gambar
+        xnorm = math.sqrt(xxnorm + zbar**2)
+        gamma = math.sqrt(gambar**2 + theta**2)
+        cs2 = gambar / gamma
+        sn2 = theta / gamma
+        z = rhs / gamma
+        xxnorm = xxnorm + z**2
+
+        # the convergence tests, from the estimated cond(A), ||r|| and ||A'r||
+        acond = anorm * math.sqrt(ddnorm)
+        rnorm = math.sqrt(phibar**2)
+        arnorm = alfa * abs(tau)
+        test1 = rnorm / bnorm
+        test2 = arnorm / (anorm * rnorm + eps)
+        test3 = 1 / (acond + eps)
+        t1 = test1 / (1 + anorm * xnorm / bnorm)
+        rtol = btol + atol * anorm * xnorm / bnorm
+        # machine-precision versions first, so that atol, btol or ctol of 0
+        # act as eps, eps and 1/eps
+        if itn >= iter_lim:
+            istop = 7
+        if 1 + test3 <= 1:
+            istop = 6
+        if 1 + test2 <= 1:
+            istop = 5
+        if 1 + t1 <= 1:
+            istop = 4
+        if test3 <= ctol:
+            istop = 3
+        if test2 <= atol:
+            istop = 2
+        if test1 <= rtol:
+            istop = 1
+        if istop != 0:
+            break
+    return x, istop, itn
+
+
 def integration_base(domain: GridDomain, base: tuple[int, ...] | None,
                      tol: float, method: str) -> tuple[int, ...]:
     """Check `integrate_potential`'s base, tol and method on `domain` and
@@ -169,7 +302,6 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
     else:
         # scipy is imported here, so no other command pays for loading it
         from scipy import sparse
-        from scipy.sparse import linalg as sparse_linalg
 
         op = _gradient_operator(domain)
         rhs = u.values.reshape(domain.m, -1).ravel()
@@ -177,16 +309,13 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
             (np.ones(1), ([0], [int(np.ravel_multi_index(base, domain.counts))])),
             shape=(1, domain.node_count))
         system = sparse.vstack([op, gauge], format="csr")
-        # LSQR's adjoint products go through an explicit CSR transpose: the
-        # same sums in the same (ascending row) order as scipy's own
-        # transposed product, so the same bits, but faster
+        # the adjoint products go through an explicit CSR transpose: the same
+        # sums in the same (ascending row) order as scipy's own transposed
+        # product, so the same bits, but faster
         transpose = system.T.tocsr()
-        operator = sparse_linalg.LinearOperator(
-            system.shape, matvec=system.__matmul__,
-            rmatvec=transpose.__matmul__, dtype=float)
         target = np.concatenate([rhs, [0.0]])
-        solution = sparse_linalg.lsqr(operator, target, atol=1e-14, btol=1e-14,
-                                      iter_lim=10 * domain.node_count)[0]
+        solution = _lsqr(system, transpose, target, atol=1e-14, btol=1e-14,
+                         iter_lim=10 * domain.node_count)[0]
         potential = solution.reshape(domain.counts)
         potential = potential - potential[base]
         fit = (op @ potential.ravel()).reshape(domain.m, *domain.counts)

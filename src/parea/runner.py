@@ -149,14 +149,26 @@ def _fmt(x) -> str:
     return str(x)
 
 
+Artifacts = typing.Callable[[str], Path]
+
+
+def _artifacts(directory: Path) -> Artifacts:
+    """The path of an artifact `name` in `directory`, which is created at the
+    first artifact: a run refused before it writes leaves no directory."""
+    def path(name: str) -> Path:
+        directory.mkdir(parents=True, exist_ok=True)
+        return directory / name
+    return path
+
+
 def _write_rows(path: Path, header: str, rows, sep: str = ",") -> None:
     """A CSV table, or with `sep=" "` and a `# ` header a `.dat` plot file."""
     lines = [header] + [sep.join(_fmt(cell) for cell in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _write_summary(out: Path, rows) -> None:
-    _write_rows(out / "summary.csv", "key,value", rows)
+def _write_summary(out: Artifacts, rows) -> None:
+    _write_rows(out("summary.csv"), "key,value", rows)
     width = max((len(str(k)) for k, _ in rows), default=0)
     print("summary:")
     for key, value in rows:
@@ -203,16 +215,16 @@ def _tau(config: ExperimentConfig) -> float:
 # Pipelines
 # --------------------------------------------------------------------------
 
-def _run_scenario(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+def _run_scenario(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode:
     if not config.scenario:
         raise ConfigError("scenario operation needs a scenario name")
     scn = builtin_scenario(config.scenario)
     data, outcomes = scn.run_checks(config.resolution, config.seed)
     for key in ("u", "v", "f", "nu", "d"):
         if key in data:
-            write_field(data[key], out / f"{key}.pfld")
-            write_csv(data[key], out / f"{key}.csv")
-    _write_rows(out / "assertions.csv", "name,passed,value,bound,note",
+            write_field(data[key], out(f"{key}.pfld"))
+            write_csv(data[key], out(f"{key}.csv"))
+    _write_rows(out("assertions.csv"), "name,passed,value,bound,note",
                 [(o.name, o.passed, o.value, o.bound, o.note) for o in outcomes])
     rows = [("scenario", scn.name), ("checks", len(outcomes)),
             ("passed", sum(o.passed for o in outcomes))]
@@ -226,14 +238,14 @@ def _run_scenario(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
     return ExitCode.ASSERTION_FAILURE
 
 
-def _run_evaluate(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+def _run_evaluate(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode:
     u, f, h = data["u"], data["f"], data.get("h")
     _, mask, d = _normal_and_weight(u, f, _tau(config))  # one kernel call
     value = _functional_from_weight(u, d, h)
     stats = singular_stats(mask)
     weight = ScalarField(mask.domain, d)
-    write_field(weight, out / "weight.pfld")
-    write_csv(weight, out / "weight.csv")
+    write_field(weight, out("weight.pfld"))
+    write_csv(weight, out("weight.csv"))
     _write_summary(out, [
         ("functional", value),
         ("weight_min", float(d.min())),
@@ -248,14 +260,14 @@ def _solver_options(config: ExperimentConfig) -> MinimizeOptions:
     return MinimizeOptions(config.max_iterations, config.first_order_tol)
 
 
-def _run_minimize(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+def _run_minimize(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode:
     f, boundary, h, init = data["f"], data["u"], data.get("h"), data.get("init")
     if init is None:
         init = seeded_init(boundary, config.seed)
     result = minimize(f, h, boundary, init, _solver_options(config))
-    write_field(result.field, out / "minimizer.pfld")
-    write_csv(result.field, out / "minimizer.csv")
-    (out / "convergence.log").write_text(result.log_text(), encoding="ascii")
+    write_field(result.field, out("minimizer.pfld"))
+    write_csv(result.field, out("minimizer.csv"))
+    out("convergence.log").write_text(result.log_text(), encoding="ascii")
     iters, objectives = [], []
     offset = 0
     for stage in result.stages:
@@ -263,7 +275,7 @@ def _run_minimize(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
             iters.append(offset + it)
             objectives.append(obj)
         offset += stage.iterations
-    _write_rows(out / "convergence.dat", "# iteration objective",
+    _write_rows(out("convergence.dat"), "# iteration objective",
                 zip(iters, objectives), " ")
     rows = [
         ("converged", result.converged),
@@ -280,15 +292,16 @@ def _run_minimize(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
     return ExitCode.OK if result.converged else ExitCode.SOLVER_FAILURE
 
 
-def _run_check_integrability(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+def _run_check_integrability(config: ExperimentConfig, data: dict,
+                             out: Artifacts) -> ExitCode:
     w, f = data["u"], data["f"]
     labels = classify_integrability(w, f, _tau(config), config.eta)
     tensor = labels.tensor
     label_field = ScalarField(w.domain, labels.labels.astype(float))
-    write_field(label_field, out / "labels.pfld")
-    write_csv(label_field, out / "labels.csv")
+    write_field(label_field, out("labels.pfld"))
+    write_csv(label_field, out("labels.csv"))
     if tensor.entries.shape[0]:
-        write_field(tensor, out / "frobenius.pfld")
+        write_field(tensor, out("frobenius.pfld"))
     _write_summary(out, [
         ("singular_fraction", labels.fraction(IntegrabilityLabel.SINGULAR)),
         ("integrable_fraction", labels.fraction(IntegrabilityLabel.INTEGRABLE)),
@@ -299,19 +312,19 @@ def _run_check_integrability(config: ExperimentConfig, data: dict, out: Path) ->
     return ExitCode.OK
 
 
-def _run_reconstruct(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+def _run_reconstruct(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode:
     f = data["f"]
     tol = config.tol if config.tol is not None else DEFAULT_CLOSEDNESS_TOL
     # a rejected input stops here, before any artifact is written
     integration_base(f.domain, config.base, tol, config.method)
     nu, d = _derive_normal_weight(data)
     u_candidate = candidate_gradient(nu, d, f)
-    write_field(u_candidate, out / "candidate.pfld")
+    write_field(u_candidate, out("candidate.pfld"))
     result = integrate_potential(u_candidate, base=config.base, tol=tol,
                                  method=config.method)
     check = verify_normal(result.field, nu, d, f)
-    write_field(result.field, out / "potential.pfld")
-    write_csv(result.field, out / "potential.csv")
+    write_field(result.field, out("potential.pfld"))
+    write_csv(result.field, out("potential.csv"))
     _write_summary(out, [
         ("method", result.method),
         ("closedness_max", result.closedness_max),
@@ -323,14 +336,14 @@ def _run_reconstruct(config: ExperimentConfig, data: dict, out: Path) -> ExitCod
     return ExitCode.OK
 
 
-def _run_rank_analysis(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+def _run_rank_analysis(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode:
     h = curl_matrix(data["f"])
     ranks = pointwise_skew_rank(h)
     values, counts = np.unique(ranks, return_counts=True)
-    write_field(h, out / "curl.pfld")
+    write_field(h, out("curl.pfld"))
     histogram = list(zip(values.tolist(), counts.tolist()))
-    _write_rows(out / "rank_histogram.csv", "rank,count", histogram)
-    _write_rows(out / "rank_histogram.dat", "# rank count", histogram, " ")
+    _write_rows(out("rank_histogram.csv"), "rank,count", histogram)
+    _write_rows(out("rank_histogram.dat"), "# rank count", histogram, " ")
     _write_summary(out, [
         ("rank_min", int(ranks.min())),
         ("rank_max", int(ranks.max())),
@@ -339,7 +352,7 @@ def _run_rank_analysis(config: ExperimentConfig, data: dict, out: Path) -> ExitC
     return ExitCode.OK
 
 
-def _run_audit(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+def _run_audit(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode:
     u, v, f, h = data["u"], data["v"], data["f"], data.get("h")
     a = data.get("a") or pairwise_rotation(f.domain.m)
     report = uniqueness_audit(u, v, f, h, a, _tau(config), config.eta)
@@ -357,18 +370,19 @@ def _run_audit(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
     ]
     for eps, fraction in report.epsilon_mask_fractions:
         rows.append((f"mask_fraction_eps_{eps:g}", fraction))
-    _write_rows(out / "audit.csv", "metric,value", rows)
+    _write_rows(out("audit.csv"), "metric,value", rows)
     _write_summary(out, rows)
     return ExitCode.OK
 
 
-def _run_variation_profile(config: ExperimentConfig, data: dict, out: Path) -> ExitCode:
+def _run_variation_profile(config: ExperimentConfig, data: dict,
+                           out: Artifacts) -> ExitCode:
     u, v, f, h = data["u"], data["v"], data["f"], data.get("h")
     if config.eps_points < 3:
         raise ConfigError("eps_points must be at least 3")
     eps = np.linspace(0.0, 1.0, config.eps_points)
     profile = line_profile(u, v, f, h, eps)
-    _write_rows(out / "profile.dat", "# eps value",
+    _write_rows(out("profile.dat"), "# eps value",
                 zip(profile.eps.tolist(), profile.values.tolist()), " ")
     _write_summary(out, [
         ("eps_points", config.eps_points),
@@ -383,9 +397,10 @@ def _run_variation_profile(config: ExperimentConfig, data: dict, out: Path) -> E
 class Operation:
     """What one operation reads. `pipeline(config, data, out)` gets inputs
     `data`: `needs` always, `optional` when given, from files or from the
-    scenario keys that come with them. `check` vets `options` first."""
+    scenario keys that come with them; `out(name)` is an artifact's path.
+    `check` vets `options` first."""
 
-    pipeline: typing.Callable[[ExperimentConfig, dict, Path], ExitCode]
+    pipeline: typing.Callable[[ExperimentConfig, dict, Artifacts], ExitCode]
     options: tuple[str, ...] = ()
     needs: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
@@ -420,10 +435,9 @@ def run(config: ExperimentConfig) -> int:
         print(f"error: unknown operation {config.operation!r}")
         return int(ExitCode.CONFIG_ERROR)
     try:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         op.check(config)
-        code = op.pipeline(config, _resolve_inputs(config, op), out)
+        code = op.pipeline(config, _resolve_inputs(config, op),
+                           _artifacts(Path(config.out_dir)))
     except NotClosedError as exc:
         print(f"not closed: {exc}")
         return int(ExitCode.NOT_CLOSED)

@@ -106,7 +106,7 @@ class TestReconstruct:
         code = run_cli("reconstruct", "--scenario", "example_4_2", flag, value,
                        "--out", str(out))
         assert code == int(ExitCode.CONFIG_ERROR)
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_not_closed_keeps_the_candidate(self, tmp_path):
         code = run_cli("reconstruct", "--scenario", "example_4_2",
@@ -149,14 +149,16 @@ class TestDeferredScipy:
         assert run_fresh_python(code).strip() == "[]"
 
     def test_least_squares_loads_scipy_on_first_use(self, tmp_path):
+        # scipy.sparse, for the CSR operator; LSQR itself is parea's own
         argv = ["reconstruct", "--scenario", "smooth_roundtrip", "--resolution", "9",
                 "--method", "least-squares", "--out"]
         fresh, here = tmp_path / "fresh", tmp_path / "here"
         code = ("import contextlib, io, sys, parea.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    code = parea.cli.main({argv + [str(fresh)]!r})\n"
-                "print(code, 'scipy.sparse.linalg' in sys.modules)")
-        assert run_fresh_python(code).split() == ["0", "True"]
+                "print(code, 'scipy.sparse' in sys.modules, "
+                "'scipy.sparse.linalg' in sys.modules)")
+        assert run_fresh_python(code).split() == ["0", "True", "False"]
         assert run_cli(*argv, str(here)) == 0
         assert (fresh / "potential.csv").read_bytes() == (here / "potential.csv").read_bytes()
 
@@ -509,6 +511,18 @@ class TestFlagTable:
                        "--out", str(tmp_path / "out"))
         assert code == int(ExitCode.CONFIG_ERROR)
         assert "max_iterations must be at least 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["minimize", "--scenario", "heisenberg(1)", "--max-iterations", "0"],
+        ["rank-analysis", "--f", "missing.pfld"],
+        ["reconstruct", "--scenario", "smooth_roundtrip", "--resolution", "9",
+         "--method", "bogus"],
+        ["variation-profile", "--scenario", "example_2_2", "--eps-points", "2"],
+    ], ids=["solver-option", "missing-input", "reconstruct-method", "eps-points"])
+    def test_refused_run_leaves_no_output_directory(self, tmp_path, argv):
+        out = tmp_path / "out" / "nested"
+        assert run_cli(*argv, "--out", str(out)) == int(ExitCode.CONFIG_ERROR)
+        assert not (tmp_path / "out").exists()
 
     def test_tol_help_names_what_it_sets(self):
         parser = parea.cli.build_parser()

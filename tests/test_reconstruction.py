@@ -13,6 +13,7 @@ from parea.horizontal import horizontal_normal, weight
 from parea.reconstruction import (
     NotClosedError,
     _gradient_operator,
+    _lsqr,
     candidate_gradient,
     closedness_residual,
     integrate_potential,
@@ -99,10 +100,14 @@ class TestIntegratePotential:
         assert result.field.values[0, 0] == 0.0
 
     def test_zero_field(self):
+        # least squares must stop at once on a zero right-hand side: LSQR
+        # past its beta = 0 exit divides by zero and returns NaN
         d = build_domain(2, [0, 0], [1, 1], [5, 5])
         u = VectorField(d, np.zeros((2,) + d.counts))
-        result = integrate_potential(u)
-        assert np.all(result.field.values == 0.0)
+        for method in ("staircase", "least-squares"):
+            result = integrate_potential(u, method=method)
+            assert np.all(result.field.values == 0.0)
+            assert result.path_discrepancy == 0.0
 
     def test_refuses_non_closed(self):
         data = builtin_scenario("example_4_2").build()
@@ -177,16 +182,27 @@ class TestIntegratePotential:
         assert lsq.path_discrepancy <= 1e-8
 
 
-def _old_lsqr_potential(u: VectorField) -> np.ndarray:
-    """The least-squares potential as LSQR computed it on the stacked system
-    itself, whose adjoint products scipy forms from the CSR matrix."""
+def _stacked_system(u: VectorField, base: tuple[int, ...]):
+    """The least-squares system: the stacked gradient plus a gauge row at
+    `base`, and its right-hand side."""
     from scipy import sparse
+
+    domain = u.domain
+    gauge = sparse.csr_matrix(
+        (np.ones(1), ([0], [int(np.ravel_multi_index(base, domain.counts))])),
+        shape=(1, domain.node_count))
+    system = sparse.vstack([_gradient_operator(domain), gauge], format="csr")
+    target = np.concatenate([u.values.reshape(domain.m, -1).ravel(), [0.0]])
+    return system, target
+
+
+def _old_lsqr_potential(u: VectorField) -> np.ndarray:
+    """The least-squares potential as scipy's LSQR computed it on the stacked
+    system itself, whose adjoint products scipy forms from the CSR matrix."""
     from scipy.sparse import linalg as sparse_linalg
 
     domain = u.domain
-    gauge = sparse.csr_matrix((np.ones(1), ([0], [0])), shape=(1, domain.node_count))
-    system = sparse.vstack([_gradient_operator(domain), gauge], format="csr")
-    target = np.concatenate([u.values.reshape(domain.m, -1).ravel(), [0.0]])
+    system, target = _stacked_system(u, (0,) * domain.m)
     solution = sparse_linalg.lsqr(system, target, atol=1e-14, btol=1e-14,
                                   iter_lim=10 * domain.node_count)[0]
     potential = solution.reshape(domain.counts)
@@ -214,6 +230,54 @@ class TestLeastSquaresAdjoint:
         lsq = integrate_potential(cand, method="least-squares")
         assert np.array_equal(lsq.field.values.view(np.uint64),
                               _old_lsqr_potential(cand).view(np.uint64))
+
+
+def _smooth_gradient(m: int, n: int) -> VectorField:
+    d = build_domain(m, [0.1] * m, [1.0] * m, [n] * m)
+    return gradient(sample(d, lambda *x: np.sin(sum((k + 1) * c for k, c in enumerate(x)))
+                           + x[0] * x[-1] ** 2))
+
+
+class TestLsqrTranscription:
+    """parea's in-place LSQR against scipy's on the same CSR system: the same
+    bits of x, the same stopping reason and the same iteration count."""
+
+    @staticmethod
+    def _compare(u: VectorField, base=None, iter_lim=None):
+        from scipy.sparse import linalg as sparse_linalg
+
+        base = base or (0,) * u.domain.m
+        iter_lim = iter_lim or 10 * u.domain.node_count
+        system, target = _stacked_system(u, base)
+        x, istop, itn = _lsqr(system, system.T.tocsr(), target, atol=1e-14,
+                              btol=1e-14, iter_lim=iter_lim)
+        ref = sparse_linalg.lsqr(system, target, atol=1e-14, btol=1e-14,
+                                 iter_lim=iter_lim)
+        assert np.array_equal(x.view(np.uint64), ref[0].view(np.uint64))
+        assert (istop, itn) == (ref[1], ref[2])
+        return istop, itn
+
+    @pytest.mark.parametrize("m, n", [(2, 5), (2, 17), (3, 7), (4, 5)])
+    def test_dimensions_and_smallest_grid(self, m, n):
+        istop, itn = self._compare(_smooth_gradient(m, n))
+        assert istop == 1 and itn > 1
+
+    def test_base_off_the_corner(self):
+        assert self._compare(_smooth_gradient(2, 9), base=(3, 5))[0] == 1
+
+    @pytest.mark.parametrize("iter_lim", [1, 7])
+    def test_iteration_cap(self, iter_lim):
+        assert self._compare(_smooth_gradient(2, 9), iter_lim=iter_lim) == (7, iter_lim)
+
+    def test_inconsistent_right_hand_side(self):
+        d = build_domain(2, [0, 0], [1, 1], [9, 9])
+        u = VectorField(d, np.random.default_rng(3).standard_normal((2,) + d.counts))
+        istop, itn = self._compare(u)
+        assert istop == 2 and itn > 1  # the least-squares test, not the fit
+
+    def test_zero_right_hand_side(self):
+        d = build_domain(3, [0, 0, 0], [1, 1, 1], [5, 5, 5])
+        assert self._compare(VectorField(d, np.zeros((3,) + d.counts))) == (0, 0)
 
 
 class TestVerifyNormal:
