@@ -27,19 +27,26 @@ through the inverse index. Bit patterns rather than values keep `-0.0`
 a time, so the text of a whole file is never held in memory. The bytes
 written are the same as formatting every value in turn.
 
-The reader parses the header, then splits the body once and converts the
-tokens with `float`, so any token `float` accepts (`1_0`, `+1e3`) is read
-as `float` reads it; tabs and blank lines separate values like spaces.
-The kind line must be exactly `kind=<tag>`, or `kind=vector c=<m>`: a
-trailing token makes the header malformed. Every malformed file raises
-`FieldFormatError`.
+The reader streams the file: it decodes `_READ_CHUNK` bytes at a time as
+ASCII with universal newlines, parses the header, then splits each chunk
+of the body and converts its tokens with `float` into one preallocated
+array, carrying a token cut by a chunk edge into the next chunk. So any
+token `float` accepts (`1_0`, `+1e3`) is read as `float` reads it; tabs and
+blank lines separate values like spaces, and the file's text is never held
+whole. A wrong value count is reported before a bad token, and counts
+every token in the file; the array is allocated only when the file is
+large enough to hold the values its header declares. The kind line must
+be exactly `kind=<tag>`, or `kind=vector c=<m>`: a trailing token makes the
+header malformed. Every malformed file raises `FieldFormatError`.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
+import os
 import re
-from pathlib import Path
 
 import numpy as np
 
@@ -61,6 +68,9 @@ _CHUNK_LINES = 4096
 # universal newlines, so no '\r' is left).
 _LINE_BREAK = re.compile(r"[\n\v\f\x1c\x1d\x1e]")
 _HEADER_LINES = 6
+# Bytes read and decoded per step; bounds the text a read holds, whatever the
+# file size. The read-side twin of `_CHUNK_LINES`.
+_READ_CHUNK = 1 << 18
 # The one format of a real in every artifact; `%` applies it to many values
 # in one call.
 _REAL_FORMAT = "%.17g"
@@ -142,20 +152,53 @@ def _header_value(line: str, key: str) -> str:
     return line[len(prefix):]
 
 
-def _split_header(text: str) -> tuple[list[str], str]:
+def _split_header(text: str, final: bool = True) -> tuple[list[str], str] | None:
     """The header lines and the body after them, with the line boundaries
-    `str.splitlines` uses."""
+    `str.splitlines` uses. With `final=False`, `text` is a prefix of the
+    file: None while it holds fewer than `_HEADER_LINES` line breaks."""
     lines, pos = [], 0
     for match in _LINE_BREAK.finditer(text):
         lines.append(text[pos:match.start()])
         pos = match.end()
         if len(lines) == _HEADER_LINES:
             return lines, text[pos:]
+    if not final:
+        return None
     if pos < len(text):
         lines.append(text[pos:])
     if len(lines) < _HEADER_LINES:
         raise FieldFormatError("malformed header: file too short")
     return lines, ""
+
+
+def _text_chunks(raw):
+    """The text of a binary file, `_READ_CHUNK` bytes at a time, decoded as
+    ASCII with universal newlines: a '\\r' is held back until the next chunk
+    shows whether a '\\n' follows it."""
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)
+    offset = 0
+    while data := raw.read(_READ_CHUNK):
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FieldFormatError(
+                f"not an ASCII file: byte {data[exc.start]:#04x} at offset "
+                f"{offset + exc.start}") from None
+        offset += len(data)
+        yield newlines.decode(text)
+    yield newlines.decode("", final=True)
+
+
+def _read_header(chunks) -> tuple[list[str], str]:
+    """The header lines and the start of the body, reading only the chunks
+    the header spans."""
+    head = ""
+    for text in chunks:
+        head += text
+        # only a chunk with a line break can complete the header
+        if _LINE_BREAK.search(text) and (split := _split_header(head, final=False)):
+            return split
+    return _split_header(head)
 
 
 def _parse_kind(line: str, m: int) -> type:
@@ -187,13 +230,8 @@ def _first_bad_token(tokens: list[str]) -> FieldFormatError:
     raise AssertionError("every token is a finite decimal")
 
 
-def read_field(source):
-    """Read a `.pfld` file; returns the field type the header declares."""
-    try:
-        text = Path(source).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise FieldFormatError(f"not an ASCII file: {exc}") from exc
-    lines, body = _split_header(text)
+def _parse_header(lines: list[str]) -> tuple[type, GridDomain]:
+    """The field class and the domain the six header lines declare."""
     if lines[0].strip() != FORMAT_TAG:
         raise FieldFormatError(f"malformed header: bad format tag {lines[0]!r}")
     try:
@@ -207,22 +245,61 @@ def read_field(source):
         raise
     except ValueError as exc:
         raise FieldFormatError(f"malformed header: {exc}") from exc
+    return cls, domain
 
-    tokens = body.split()
-    # Python ints: a hostile `counts=` line cannot wrap the expected count.
-    shape = cls.value_shape(domain)
-    expected = math.prod(shape)
-    if len(tokens) != expected:
-        raise FieldFormatError(
-            f"count mismatch: expected {expected} values, found {len(tokens)}")
+
+def _convert(tokens: list[str], out: np.ndarray) -> FieldFormatError | None:
+    """Convert `tokens` with `float` into `out`; the error for the first one
+    that is not a finite decimal, if any."""
     try:
-        values = np.fromiter(map(float, tokens), dtype=np.float64, count=expected)
+        out[:] = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
     except ValueError:
-        raise _first_bad_token(tokens) from None
-    if not np.isfinite(values).all():
-        raise _first_bad_token(tokens)
+        return _first_bad_token(tokens)
+    if not np.isfinite(out).all():
+        return _first_bad_token(tokens)
+    return None
 
-    return cls(domain, values.reshape(shape))
+
+def read_field(source):
+    """Read a `.pfld` file; returns the field type the header declares."""
+    with open(source, "rb") as raw:
+        chunks = _text_chunks(raw)
+        lines, body = _read_header(chunks)
+        try:
+            cls, domain = _parse_header(lines)
+        except FieldFormatError:
+            for _ in chunks:  # a byte that is not ASCII, anywhere, is reported first
+                pass
+            raise
+        # Python ints: a hostile `counts=` line cannot wrap the expected count
+        shape = cls.value_shape(domain)
+        expected = math.prod(shape)
+        # A file of n bytes holds at most (n + 1) // 2 values, so a count it
+        # cannot hold allocates nothing. A file of unknown size (a pipe) grows
+        # the array as its values arrive.
+        size = os.fstat(raw.fileno()).st_size
+        values = np.empty(min(expected, (size + 1) // 2))
+        found, error, carry = 0, None, ""
+        # a trailing space ends the last token
+        for text in itertools.chain([body], chunks, [" "]):
+            text = carry + text
+            tokens = text.split()
+            carry = tokens.pop() if text and not text[-1].isspace() else ""
+            end = found + len(tokens)
+            if error is None and end <= expected:
+                if end > values.size:
+                    grown = np.empty(min(expected, 2 * end))
+                    grown[:found] = values[:found]
+                    values = grown
+                error = _convert(tokens, values[found:end])
+            found = end
+            del tokens  # before the next chunk is split
+    if found != expected:
+        raise FieldFormatError(
+            f"count mismatch: expected {expected} values, found {found}")
+    if error is not None:
+        raise error
+    return cls._adopt(domain, values.reshape(shape))
 
 
 def write_csv(field, destination) -> None:

@@ -30,8 +30,10 @@ MAX_DIMENSION = 6
 MIN_COUNT = 5
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, order="C", copy=True)
+def _frozen_array(values, dtype=float, copy: bool = True) -> np.ndarray:
+    """`values` as a read-only C-ordered array: a copy, or with `copy=False`
+    the array itself wherever its dtype and order allow."""
+    arr = (np.array if copy else np.asarray)(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -160,7 +162,12 @@ class _Field:
 
     A subclass declares its `order`, its `.pfld` kind tag (None: it has no
     `.pfld` form) and its CSV column template, which each 1-based index
-    tuple fills; `fieldio` reads the whole layout from these."""
+    tuple fills; `fieldio` reads the whole layout from these.
+
+    The constructor copies `values`, so a caller's array never aliases a
+    field. parea's own producers, which hand over an array they have just
+    allocated and keep no other use of, build through `_adopt` instead: the
+    same checks, without the copy."""
 
     order = 0
     kind: str | None = None
@@ -168,7 +175,17 @@ class _Field:
     dtype: type = float
 
     def __init__(self, domain: GridDomain, values):
-        arr = _frozen_array(values, self.dtype)
+        self._set(domain, _frozen_array(values, self.dtype))
+
+    @classmethod
+    def _adopt(cls, domain: GridDomain, values: np.ndarray):
+        """A field that takes over `values`, a fresh array nothing else
+        writes to, marking it read-only instead of copying it."""
+        field = cls.__new__(cls)
+        field._set(domain, _frozen_array(values, cls.dtype, copy=False))
+        return field
+
+    def _set(self, domain: GridDomain, arr: np.ndarray) -> None:
         shape = self.value_shape(domain)
         if arr.shape != shape:
             raise ValueError(f"values shape {arr.shape} != {shape}")
@@ -406,7 +423,7 @@ def gradient_values(domain: GridDomain, values: np.ndarray) -> np.ndarray:
 
 def gradient(f: ScalarField) -> VectorField:
     """Second-order discrete gradient; exact on per-axis quadratics."""
-    return VectorField(f.domain, gradient_values(f.domain, f.values))
+    return VectorField._adopt(f.domain, gradient_values(f.domain, f.values))
 
 
 def divergence(v: VectorField) -> ScalarField:

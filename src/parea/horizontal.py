@@ -73,7 +73,7 @@ def _normal_and_weight(w: ScalarField, f: VectorField,
     flags = _singular_flags(d, tau)
     safe = np.where(flags, 1.0, d)
     nu = np.where(flags, 0.0, hat / safe)
-    return VectorField(domain, nu), SingularMask(domain, flags, tau), d
+    return VectorField._adopt(domain, nu), SingularMask(domain, flags, tau), d
 
 
 def horizontal_normal(w: ScalarField, f: VectorField,
@@ -92,7 +92,7 @@ def curl_matrix(f: VectorField) -> SkewField:
     for p, (i, j) in enumerate(pairs):
         entries[p] = (axis_derivative(domain, f.values[j], i)
                       - axis_derivative(domain, f.values[i], j))
-    return SkewField(domain, entries)
+    return SkewField._adopt(domain, entries)
 
 
 def tangential_derivative(nu: VectorField, f: ScalarField) -> VectorField:

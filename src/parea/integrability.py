@@ -56,15 +56,20 @@ class IntegrabilityLabel(IntEnum):
     NONINTEGRABLE = 2
 
 
+def _frobenius_blocks(v: np.ndarray, e: np.ndarray):
+    """T on each increasing triple in turn, one node array at a time, from
+    the normal's values v and the curl's upper-triangle entries e."""
+    pos = index_positions(v.shape[0], 2)
+    for k, i, j in triple_indices(v.shape[0]):
+        yield v[k] * e[pos[i, j]] - v[i] * e[pos[k, j]] + v[j] * e[pos[k, i]]
+
+
 def _frobenius_entries(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """T on increasing triples, shape (ntriples, *counts), from the normal's
-    values v and the curl's upper-triangle entries e."""
-    m = v.shape[0]
-    pos = index_positions(m, 2)
-    triples = triple_indices(m)
-    entries = np.empty((len(triples),) + v.shape[1:])
-    for t, (k, i, j) in enumerate(triples):
-        entries[t] = v[k] * e[pos[i, j]] - v[i] * e[pos[k, j]] + v[j] * e[pos[k, i]]
+    """T on increasing triples, shape (ntriples, *counts): the one place the
+    whole tensor is formed."""
+    entries = np.empty((len(triple_indices(v.shape[0])),) + v.shape[1:])
+    for t, block in enumerate(_frobenius_blocks(v, e)):
+        entries[t] = block
     return entries
 
 
@@ -74,8 +79,9 @@ def frobenius_tensor(nu: VectorField, f: VectorField) -> Alternating3Field:
     For k < i < j the curl entries are read from the upper triangle as
     h_ij - h_kj + h_ki, and the sign is exact in floating point."""
     domain = require_same_domain(nu, f)
-    # the curl is freed when the fill returns, before the field copies the entries
-    return Alternating3Field(domain, _frobenius_entries(nu.values, curl_matrix(f).entries))
+    # the curl is freed when the fill returns; the field adopts the entries
+    return Alternating3Field._adopt(
+        domain, _frobenius_entries(nu.values, curl_matrix(f).entries))
 
 
 @dataclass(frozen=True)
@@ -106,23 +112,29 @@ def classify_integrability(w: ScalarField, f: VectorField,
     residuals of truly integrable data from order-one values at the shipped
     resolutions; it is resolution dependent.
     """
-    labels, nu, mask, entries = _classify(w, f, curl_matrix(f).entries, tau, eta)
-    # the curl is freed by now, before the field copies the tensor entries
+    labels, nu, mask, entries = _classify(w, f, curl_matrix(f).entries, tau, eta,
+                                          keep_tensor=True)
+    # the curl is freed by now; the field adopts the tensor entries
     return ClassificationField(domain=nu.domain, labels=labels, tau=tau, eta=eta,
                                normal=nu, mask=mask,
-                               tensor=Alternating3Field(nu.domain, entries))
+                               tensor=Alternating3Field._adopt(nu.domain, entries))
 
 
 def _classify(w: ScalarField, f: VectorField, curl_entries: np.ndarray, tau: float,
-              eta: float) -> tuple[np.ndarray, VectorField, SingularMask, np.ndarray]:
-    """The labels, normal, mask and Frobenius tensor entries of
-    `classify_integrability`, from the curl entries of f, so that a caller
-    holding the curl builds it once."""
+              eta: float, keep_tensor: bool = False
+              ) -> tuple[np.ndarray, VectorField, SingularMask, np.ndarray | None]:
+    """The labels, normal, mask and (with `keep_tensor`) Frobenius tensor
+    entries of `classify_integrability`, from the curl entries of f, so that
+    a caller holding the curl builds it once. The per-node max |T| is taken
+    one block at a time; without `keep_tensor` the whole tensor is never
+    held."""
     if not (tau > 0 and eta > 0):
         raise ValueError("tau and eta must be positive")
     nu, mask = horizontal_normal(w, f, tau)  # checks that w and f share a domain
-    entries = _frobenius_entries(nu.values, curl_entries)
-    tmax = np.max(np.abs(entries), axis=0, initial=0.0)  # zeros for m = 2
+    entries = _frobenius_entries(nu.values, curl_entries) if keep_tensor else None
+    tmax = np.zeros(w.domain.counts)  # stays zero for m = 2
+    for block in (entries if keep_tensor else _frobenius_blocks(nu.values, curl_entries)):
+        np.maximum(tmax, np.abs(block), out=tmax)
     scale = field_scale(tmax)  # the max-norm of the tensor, read off tmax
     labels = np.where(
         mask.flags,

@@ -303,12 +303,11 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
         # scipy is imported here, so no other command pays for loading it
         from scipy import sparse
 
-        op = _gradient_operator(domain)
         rhs = u.values.reshape(domain.m, -1).ravel()
         gauge = sparse.csr_matrix(
             (np.ones(1), ([0], [int(np.ravel_multi_index(base, domain.counts))])),
             shape=(1, domain.node_count))
-        system = sparse.vstack([op, gauge], format="csr")
+        system = sparse.vstack([_gradient_operator(domain), gauge], format="csr")
         # the adjoint products go through an explicit CSR transpose: the same
         # sums in the same (ascending row) order as scipy's own transposed
         # product, so the same bits, but faster
@@ -318,7 +317,9 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
                          iter_lim=10 * domain.node_count)[0]
         potential = solution.reshape(domain.counts)
         potential = potential - potential[base]
-        fit = (op @ potential.ravel()).reshape(domain.m, *domain.counts)
+        # the gradient is the system's rows above the gauge row, each summed
+        # as the gradient operator's own row
+        fit = (system @ potential.ravel())[:rhs.size].reshape(domain.m, *domain.counts)
         discrepancy = float(np.max(np.abs(fit - u.values)))
 
     return PotentialResult(field=ScalarField(domain, potential),

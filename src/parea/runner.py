@@ -128,6 +128,10 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     if unread:
         raise ConfigError(f"operation {mapping['operation']!r} does not read "
                           f"{sorted(unread)}")
+    stray = set(mapping) & set(op.scenario_keys)
+    if stray and not mapping.get("scenario"):
+        raise ConfigError(f"operation {mapping['operation']!r} reads {sorted(stray)} "
+                          f"only with a scenario")
     values = {}
     for key, (name, parse) in CONFIG_FIELDS.items():
         if key in mapping:
@@ -409,13 +413,23 @@ class Operation:
     @property
     def keys(self) -> tuple[str, ...]:  # all but `operation`, in CLI flag order
         source = ("scenario", "seed", "resolution") if self.needs else ()
-        return ("out", *source, *self.options, *self.needs, *self.optional)
+        return tuple(dict.fromkeys(
+            ("out", *source, *self.options, *self.needs, *self.optional)))
+
+    @property
+    def scenario_keys(self) -> tuple[str, ...]:
+        """The keys read only through `scenario`: an operation with inputs
+        reads `seed` and `resolution` to build the scenario's fields, unless
+        it names one among its own options."""
+        return tuple(key for key in ("seed", "resolution")
+                     if self.needs and key not in self.options)
 
 
 # One entry per operation; the CLI makes one subcommand of each, in this order.
 PIPELINES = {
     "evaluate": Operation(_run_evaluate, ("tol",), ("u", "f"), ("h",)),
-    "minimize": Operation(_run_minimize, ("max_iterations", "first_order_tol"),
+    # `seed` also seeds the start when no `init` is given
+    "minimize": Operation(_run_minimize, ("seed", "max_iterations", "first_order_tol"),
                           ("f", "u"), ("h", "init"), check=_solver_options),
     "check-integrability": Operation(_run_check_integrability, ("tol", "eta"), ("u", "f")),
     "reconstruct": Operation(_run_reconstruct, ("tol", "base", "method"), ("f",),

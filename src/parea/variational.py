@@ -62,7 +62,7 @@ def skew_transform(g: VectorField, a: SkewMatrix) -> VectorField:
     if a.m != g.domain.m:
         raise ValueError("coefficient dimension does not match the field")
     out = np.einsum("jk,k...->j...", a.matrix, g.values)
-    return VectorField(g.domain, out)
+    return VectorField._adopt(g.domain, out)
 
 
 def skew_divergence(f: VectorField, a: SkewMatrix) -> ScalarField:
@@ -425,22 +425,26 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     inner product |< (grad(u_eps) + F)^a , grad(v) - grad(u) >| (the pointwise
     sup of the integrand is reported alongside)."""
     domain = require_same_domain(u, v, f)
-    # one curl for the ranks and both classifications; each Frobenius
-    # tensor is dropped once its labels are read
+    # one curl for the ranks and both classifications, which read only
+    # labels and so never hold a Frobenius tensor; each large array is
+    # dropped once the last quantity read from it exists
     h_curl = curl_matrix(f)
     ranks = pointwise_skew_rank(h_curl)
 
-    labels_u, nu_u, mask_u = _classify(u, f, h_curl.entries, tau, eta)[:3]
-    labels_v, nu_v, mask_v = _classify(v, f, h_curl.entries, tau, eta)[:3]
+    labels_u, nu_u, mask_u, _ = _classify(u, f, h_curl.entries, tau, eta)
+    labels_v, nu_v, mask_v, _ = _classify(v, f, h_curl.entries, tau, eta)
     del h_curl
     joint = mask_u.flags | mask_v.flags
     off = ~joint
 
     normal_diff = np.sqrt(np.sum((nu_u.values - nu_v.values) ** 2, axis=0))
+    del nu_u, nu_v
     normal_diff = np.where(off, normal_diff, 0.0)
     gu = gradient(u).values
     gv = gradient(v).values
     grad_diff = np.sqrt(np.sum((gu - gv) ** 2, axis=0))
+    direction = gv - gu
+    del gu, gv
 
     rank_flags = (ranks >= 3) & off
 
@@ -453,15 +457,14 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     sign[db > db_tol] = 1
     sign[db < -db_tol] = -1
 
-    direction = gv - gu
     weights_arr = quadrature_weights(domain)
     ortho = 0.0
     ortho_pointwise = 0.0
     eps_masks = []
     for e in (0.0, 0.5, 1.0):
-        ue = ScalarField(domain, u.values + e * (v.values - u.values))
+        ue = ScalarField._adopt(domain, u.values + e * (v.values - u.values))
         _, shifted, d = _horizontal(ue, f)  # one kernel for the transform and the mask
-        transformed = skew_transform(VectorField(domain, shifted), a).values
+        transformed = skew_transform(VectorField._adopt(domain, shifted), a).values
         dots = np.einsum("k...,k...->...", transformed, direction)
         ortho = max(ortho, abs(float(np.sum(weights_arr * dots))))
         ortho_pointwise = max(ortho_pointwise, float(np.max(np.abs(dots))))

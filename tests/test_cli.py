@@ -497,6 +497,52 @@ class TestFlagTable:
                 assert code == int(ExitCode.CONFIG_ERROR), (op, flag)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--seed", "4"], ["--resolution", "33"],
+                                       ["--resolution", "33", "--seed", "4"]],
+                             ids=["seed", "resolution", "both"])
+    def test_scenario_keys_need_a_scenario(self, tmp_path, capsys, flags):
+        # they were accepted and ignored: this run exited 0 and wrote the
+        # 9^2 curl of the file
+        d = build_domain(2, [0, 0], [1, 1], [9, 9])
+        f = tmp_path / "f.pfld"
+        write_field(sample_vector(d, [lambda x, y: -y, lambda x, y: x]), f)
+        out = tmp_path / "out"
+        code = run_cli("rank-analysis", "--f", str(f), *flags, "--out", str(out))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert "only with a scenario" in capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{flag[2:]}={value}\n"
+                               for flag, value in zip(flags[::2], flags[1::2])))
+        code = run_cli("rank-analysis", "--f", str(f), "--config", str(cfg),
+                       "--out", str(out))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert not out.exists()
+
+    def test_every_scenario_key_needs_a_scenario(self):
+        for op, entry in PIPELINES.items():
+            for key in ("seed", "resolution"):
+                mapping = {"operation": op, key: "5"}
+                if op == "scenario" or (op, key) == ("minimize", "seed"):
+                    config_from_mapping(mapping)  # read without a scenario
+                else:
+                    with pytest.raises(ValueError, match="only with a scenario"):
+                        config_from_mapping(mapping)
+                config_from_mapping({**mapping, "scenario": "example_2_2"})
+
+    def test_minimize_seed_seeds_the_start_without_a_scenario(self, tmp_path):
+        d = build_domain(2, [0, 0], [1, 1], [9, 9])
+        u, f = tmp_path / "u.pfld", tmp_path / "f.pfld"
+        write_field(sample(d, lambda x, y: x * y), u)
+        write_field(sample_vector(d, [lambda x, y: -y, lambda x, y: x]), f)
+        starts = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            code = run_cli("minimize", "--u", str(u), "--f", str(f), "--seed", seed,
+                           "--max-iterations", "1", "--out", str(out))
+            assert code == int(ExitCode.SOLVER_FAILURE)
+            starts.append((out / "minimizer.pfld").read_bytes())
+        assert starts[0] != starts[1]
+
     def test_run_rejects_an_undeclared_input(self, tmp_path, capsys):
         config = ExperimentConfig(operation="scenario", scenario="example_2_2",
                                   out_dir=str(tmp_path), inputs={"u": "missing.pfld"})

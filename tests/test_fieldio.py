@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from parea import fieldio
 from parea.cli import main
 from parea.fieldio import (
     FieldFormatError,
@@ -480,3 +484,119 @@ def test_corrupted_files_fail_as_field_format_errors(tmp_path, data):
     except FieldFormatError:
         code = main(["rank-analysis", "--f", str(path), "--out", str(tmp_path / "out")])
         assert code == 4
+
+
+# --------------------------------------------------------------------------
+# Streamed reads: the chunk size never shows
+# --------------------------------------------------------------------------
+
+_HEADER = ("PFLD 1", "m=2", "counts=5 5", "lower=0 0", "upper=1 1", "kind=scalar")
+# every line break the header may use, and every separator of body tokens
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+_SEPARATORS = [" ", "\t", "\n", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"]
+_ODD_TOKENS = ["1_0", "+1e3", "-0", ".5", "5.", "zap", "1e", "nan", "-inf", "1__0"]
+
+
+@st.composite
+def _pfld_texts(draw):
+    """A scalar 5x5 file whose body has 23 to 27 tokens, mostly finite
+    decimals, each followed by one or more separators (none after the
+    last one, sometimes); returns the text and the tokens."""
+    text = "".join(line + draw(st.sampled_from(_LINE_BREAKS)) for line in _HEADER)
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(format_real)
+    token = st.one_of(finite, finite, finite, st.sampled_from(_ODD_TOKENS))
+    separator = st.lists(st.sampled_from(_SEPARATORS), min_size=1, max_size=3).map("".join)
+    tokens = draw(st.lists(token, min_size=23, max_size=27))
+    for tok in tokens:
+        text += tok + draw(separator)
+    if draw(st.booleans()):
+        text = text.rstrip("".join(_SEPARATORS))
+    return text, tokens
+
+
+def _expected_outcome(tokens):
+    """What reading the tokens of a 25-value body gives: a count error
+    first, then the first token that is not a finite decimal."""
+    if len(tokens) != 25:
+        return f"count mismatch: expected 25 values, found {len(tokens)}"
+    for tok in tokens:
+        try:
+            if not math.isfinite(float(tok)):
+                return f"non-finite token {tok!r}"
+        except ValueError:
+            return f"bad numeric token {tok!r}"
+    return np.array([float(tok) for tok in tokens]).tobytes()
+
+
+def _read_outcome(path):
+    """The values' bytes a read returns, or the message of its error."""
+    try:
+        return read_field(path).values.tobytes()
+    except FieldFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_pfld_texts())
+def test_chunk_size_does_not_change_a_read(tmp_path, monkeypatch, drawn):
+    """Tokens and line breaks cut by chunk edges (a '\\r\\n' included) read as
+    in one chunk: the same values, or the same first error."""
+    text, tokens = drawn
+    path = tmp_path / "t.pfld"
+    path.write_bytes(text.encode("ascii"))
+    assert _read_outcome(path) == _expected_outcome(tokens)
+    for chunk in (1, 2, 7, 64):
+        with monkeypatch.context() as patch:
+            patch.setattr(fieldio, "_READ_CHUNK", chunk)
+            assert _read_outcome(path) == _expected_outcome(tokens)
+
+
+def test_a_count_the_file_cannot_hold_allocates_nothing(tmp_path, capsys):
+    path = tmp_path / "hostile.pfld"
+    path.write_text("PFLD 1\nm=2\ncounts=1000000 1000000\nlower=0 0\nupper=1 1\n"
+                    "kind=scalar\n1 2 3\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldFormatError,
+                           match="count mismatch: expected 1000000000000 values, found 3"):
+            read_field(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert main(["rank-analysis", "--f", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert "count mismatch" in capsys.readouterr().out
+
+
+def test_a_byte_that_is_not_ascii_is_reported_first(tmp_path, monkeypatch):
+    """Before a malformed header, a wrong count or a bad token, at any chunk
+    size, as when the whole file was decoded first."""
+    path = tmp_path / "bad.pfld"
+    path.write_bytes(b"PFLD 1\nm=2\ncounts=5 5\nlower=0 0\nupper=1 1\nkind=bogus\n"
+                     b"1 2 zap\n\xff\n")
+    for chunk in (1, 7, fieldio._READ_CHUNK):
+        with monkeypatch.context() as patch:
+            patch.setattr(fieldio, "_READ_CHUNK", chunk)
+            with pytest.raises(FieldFormatError,
+                               match="not an ASCII file: byte 0xff at offset 61"):
+                read_field(path)
+
+
+def test_a_pipe_of_unknown_size_is_read(tmp_path, monkeypatch):
+    """A file whose size the reader cannot know grows the values as they
+    arrive."""
+    d = build_domain(2, [0, 0], [1, 1], [9, 7])
+    field = sample_vector(d, [lambda x, y: np.sin(3 * x) + y, lambda x, y: x * y - 1])
+    source = tmp_path / "f.pfld"
+    write_field(field, source)
+    pipe = tmp_path / "f.fifo"
+    os.mkfifo(pipe)
+    monkeypatch.setattr(fieldio, "_READ_CHUNK", 64)
+    writer = threading.Thread(target=pipe.write_bytes, args=(source.read_bytes(),),
+                              daemon=True)
+    writer.start()
+    back = read_field(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.values.tobytes() == field.values.tobytes()

@@ -78,6 +78,31 @@ class TestBuildDomain:
             build_domain(3, [0, 0], [1, 1, 1], [5, 5, 5])
 
 
+class TestFieldConstructor:
+    def test_public_constructor_copies(self):
+        d = unit_square(5)
+        source = np.zeros(d.counts)
+        f = ScalarField(d, source)
+        source[0, 0] = 1.0  # the caller's array stays the caller's
+        assert f.values[0, 0] == 0.0
+        assert source.flags.writeable and not f.values.flags.writeable
+
+    def test_adopted_array_is_read_only(self):
+        d = unit_square(5)
+        fresh = np.ones((2,) + d.counts)
+        v = VectorField._adopt(d, fresh)
+        assert np.shares_memory(v.values, fresh)
+        with pytest.raises(ValueError, match="read-only"):
+            fresh[0, 0, 0] = 2.0
+
+    def test_adopt_checks_like_the_constructor(self):
+        d = unit_square(5)
+        with pytest.raises(ValueError, match="shape"):
+            VectorField._adopt(d, np.ones((3,) + d.counts))
+        with pytest.raises(ValueError, match="non-finite"):
+            ScalarField._adopt(d, np.full(d.counts, np.nan))
+
+
 class TestSample:
     def test_product_at_corner(self):
         d = unit_square(5)

@@ -33,9 +33,9 @@ from parea.variational import (
     skew_transform,
     uniqueness_audit,
 )
-from parea.fieldio import write_field
+from parea.fieldio import read_field, write_field
 from parea.horizontal import curl_matrix, horizontal_normal
-from parea.integrability import frobenius_tensor
+from parea.integrability import classify_integrability, frobenius_tensor
 from parea.scenarios import (
     builtin_scenario,
     heisenberg_field,
@@ -574,10 +574,12 @@ class TestPeakMemory:
     """tracemalloc peaks at m = 6 on 5^6 nodes, in units of one Frobenius
     tensor (20 entries per node). Building the tensor through a list,
     np.stack and the field's copy held it three times at once (3.9 units);
-    one preallocated fill leaves the fill and the copy (2.1). The audit kept
-    both candidates' tensors through its eps loop (5.6 units); its peak was
-    then the rank step (3.6), and is now the second classification, with
-    the curl and the first candidate's normal alive (3.5)."""
+    one preallocated fill left the fill and the copy (2.1), and the field
+    now adopts the fill (1.95). The audit kept both candidates' tensors
+    through its eps loop (5.6 units); its peak was then the rank step (3.6),
+    then the second classification, with the curl and the first candidate's
+    normal alive (3.5); its classifications now read labels without forming
+    a tensor (2.1)."""
 
     @pytest.fixture(scope="class")
     def fields(self):
@@ -616,4 +618,26 @@ class TestPeakMemory:
     def test_uniqueness_audit_peak(self, fields):
         u, v, f, tensor_bytes = fields
         a = pairwise_rotation(6)
-        assert self.peak(lambda: uniqueness_audit(u, v, f, None, a)) <= 4.5 * tensor_bytes
+        assert self.peak(lambda: uniqueness_audit(u, v, f, None, a)) <= 2.5 * tensor_bytes
+
+    def test_curl_matrix_peak(self, fields):
+        # the field copied the entries it was handed (1.6 units); it now
+        # adopts them (0.95, of which the 15 curl blocks are 0.75)
+        assert self.peak(lambda: curl_matrix(fields[2])) <= 1.0 * fields[3]
+
+    def test_classify_integrability_peak(self, fields):
+        # |T| over all 20 blocks at once, beside the tensor and the field's
+        # copy of it, peaked at 3.1 units; the per-node max now takes one
+        # block at a time and the field adopts the tensor (2.3)
+        u, _, f, tensor_bytes = fields
+        assert self.peak(lambda: classify_integrability(u, f)) <= 2.5 * tensor_bytes
+
+    def test_read_field_peak(self, tmp_path):
+        # a 7^6 vector field: holding the text, a copy of the body and a str
+        # per token peaked at 16.7 times the values' bytes; the streamed
+        # body peaks at 1.4
+        d = build_domain(6, [-1.0] * 6, [1.0] * 6, [7] * 6)
+        field = VectorField(d, np.random.default_rng(0).standard_normal((6,) + d.counts))
+        path = tmp_path / "f.pfld"
+        write_field(field, path)
+        assert self.peak(lambda: read_field(path)) <= 2.5 * field.values.nbytes
