@@ -1,17 +1,19 @@
 """Numerical laboratory for weighted-gradient area functionals on grids.
 
-`PAREA_THREADS` caps the thread pools of the numerical backends; it must be
-applied before numpy loads, which is why it sits at the top of this module.
+`PAREA_THREADS` (default 1) is the one thread setting: it sets the thread
+pools of the numerical backends, overriding any inherited pool variable,
+because a BLAS split across threads changes the last bits of the artifacts.
+It must be applied before numpy loads, which is why it sits at the top of
+this module.
 """
 
 import os as _os
 
-_threads = _os.environ.get("PAREA_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-del _os, _threads
+_threads = _os.environ.get("PAREA_THREADS") or "1"
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    _os.environ[_var] = _threads
+del _os, _threads, _var
 
 from .grids import (
     Alternating3Field,
@@ -33,11 +35,8 @@ from .fieldio import FieldFormatError, read_field, write_csv, write_field
 from .horizontal import (
     curl_matrix,
     horizontal_normal,
-    residual_norms,
-    singular_set,
     singular_stats,
     structure_identity_residual,
-    tangential_derivative,
     weight,
 )
 from .skewalg import (
@@ -56,6 +55,7 @@ from .integrability import (
     classify_integrability,
     codazzi_residual_2d,
     frobenius_tensor,
+    integrability_labels,
     normal_contraction_residual,
     renormalize_normal,
     tangential_curl_residual,

@@ -265,10 +265,6 @@ class SkewField(_AlternatingField):
 
     order, kind, column = 2, "skew", "h_{}_{}"
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self.indices
-
     def dense(self) -> np.ndarray:
         """Dense per-node matrices, shape (m, m, *counts)."""
         return dense_skew(self.entries, self.domain.m)
@@ -282,22 +278,12 @@ class Alternating3Field(_AlternatingField):
 
     order, kind, column = 3, "alt3", "t_{}_{}_{}"
 
-    @property
-    def triples(self) -> tuple[tuple[int, int, int], ...]:
-        return self.indices
-
 
 class SingularMask(_Field):
     """Boolean flag per node marking where a defining magnitude is below
     threshold * field_scale."""
 
     column, dtype = "flag", bool
-
-    def __init__(self, domain: GridDomain, flags, threshold: float):
-        if not threshold > 0:
-            raise ValueError("threshold must be positive")
-        super().__init__(domain, flags)
-        self.threshold = float(threshold)
 
     @property
     def flags(self) -> np.ndarray:
@@ -311,7 +297,7 @@ class SingularMask(_Field):
         return bool(self.flags.any())
 
     def __repr__(self):
-        return f"SingularMask(fraction={self.fraction:.3g}, tau={self.threshold:g})"
+        return f"SingularMask(fraction={self.fraction:.3g})"
 
 
 def field_scale(field) -> float:

@@ -24,10 +24,8 @@ from .grids import (
     SkewField,
     VectorField,
     axis_derivative,
-    gradient,
     gradient_values,
     index_positions,
-    integrate_values,
     pair_indices,
     require_same_domain,
 )
@@ -57,31 +55,18 @@ def _singular_flags(d: np.ndarray, tau: float) -> np.ndarray:
     return d < tau * max(1.0, float(d.max()))
 
 
-def singular_set(w: ScalarField, f: VectorField,
-                 tau: float = DEFAULT_SINGULAR_TOL) -> SingularMask:
-    """Flag nodes where the weight drops below tau * field_scale(weight);
-    the mask of `horizontal_normal`."""
-    domain, _, d = _horizontal(w, f)
-    return SingularMask(domain, _singular_flags(d, tau), tau)
-
-
-def _normal_and_weight(w: ScalarField, f: VectorField,
-                       tau: float = DEFAULT_SINGULAR_TOL
-                       ) -> tuple[VectorField, SingularMask, np.ndarray]:
-    """`horizontal_normal` and the weight D, from one `_horizontal` call."""
+def horizontal_normal(w: ScalarField, f: VectorField,
+                      tau: float = DEFAULT_SINGULAR_TOL
+                      ) -> tuple[VectorField, SingularMask, ScalarField]:
+    """Unit field (grad(w) + F)/|grad(w) + F|, zero on the singular mask
+    D < tau * field_scale(D), and the weight D, all from one `_horizontal`
+    call."""
     domain, hat, d = _horizontal(w, f)
     flags = _singular_flags(d, tau)
     safe = np.where(flags, 1.0, d)
     nu = np.where(flags, 0.0, hat / safe)
-    return VectorField._adopt(domain, nu), SingularMask(domain, flags, tau), d
-
-
-def horizontal_normal(w: ScalarField, f: VectorField,
-                      tau: float = DEFAULT_SINGULAR_TOL
-                      ) -> tuple[VectorField, SingularMask]:
-    """Unit field (grad(w) + F)/|grad(w) + F|; zero (and flagged) on the mask."""
-    nu, mask, _ = _normal_and_weight(w, f, tau)
-    return nu, mask
+    return (VectorField._adopt(domain, nu), SingularMask._adopt(domain, flags),
+            ScalarField._adopt(domain, d))
 
 
 def curl_matrix(f: VectorField) -> SkewField:
@@ -93,14 +78,6 @@ def curl_matrix(f: VectorField) -> SkewField:
         entries[p] = (axis_derivative(domain, f.values[j], i)
                       - axis_derivative(domain, f.values[i], j))
     return SkewField._adopt(domain, entries)
-
-
-def tangential_derivative(nu: VectorField, f: ScalarField) -> VectorField:
-    """Component k of grad(f) minus its projection onto nu: d_k f - nu_k nu.grad(f)."""
-    domain = require_same_domain(nu, f)
-    g = gradient(f)
-    along = np.sum(nu.values * g.values, axis=0)
-    return VectorField(domain, g.values - nu.values * along)
 
 
 def _normal_derivatives(domain: GridDomain, nu: np.ndarray, curl_entries: np.ndarray
@@ -145,9 +122,9 @@ def structure_identity_residual(u: ScalarField, f: VectorField,
     inputs with weight bounded below the max residual decays at second
     order under refinement.
     """
-    nu, mask, d = _normal_and_weight(u, f, tau)
-    return _curl_identity_residual(nu.domain, nu.values, d, curl_matrix(f).entries,
-                                   mask.flags)
+    nu, mask, d = horizontal_normal(u, f, tau)
+    return _curl_identity_residual(nu.domain, nu.values, d.values,
+                                   curl_matrix(f).entries, mask.flags)
 
 
 @dataclass(frozen=True)
@@ -176,30 +153,3 @@ def singular_stats(mask: SingularMask) -> SingularStats:
             break
         radius = r
     return SingularStats(fraction=int(flags.sum()) / flags.size, ball_radius=radius)
-
-
-@dataclass(frozen=True)
-class ResidualNorms:
-    """Max-norm and area-weighted L1 norm of a residual field's magnitude."""
-    max: float
-    l1: float
-
-
-def _pointwise_magnitude(field) -> np.ndarray:
-    if isinstance(field, ScalarField):
-        return np.abs(field.values)
-    if isinstance(field, VectorField):
-        return np.sqrt(np.sum(field.values ** 2, axis=0))
-    # alternating fields: the largest stored entry (zeros when there is none)
-    return np.max(np.abs(field.entries), axis=0, initial=0.0)
-
-
-def residual_norms(field, mask: SingularMask | None = None) -> ResidualNorms:
-    """Report both the engineering max-norm and the integral L1 norm,
-    restricted to unmasked nodes when a mask is given."""
-    mag = _pointwise_magnitude(field)
-    if mask is not None:
-        mag = np.where(mask.flags, 0.0, mag)
-    mx = float(mag.max()) if mag.size else 0.0
-    l1 = integrate_values(field.domain, mag)
-    return ResidualNorms(max=mx, l1=l1)

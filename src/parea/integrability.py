@@ -20,6 +20,7 @@ sign and a discrete product-rule term.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -64,38 +65,48 @@ def _frobenius_blocks(v: np.ndarray, e: np.ndarray):
         yield v[k] * e[pos[i, j]] - v[i] * e[pos[k, j]] + v[j] * e[pos[k, i]]
 
 
-def _frobenius_entries(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """T on increasing triples, shape (ntriples, *counts): the one place the
-    whole tensor is formed."""
-    entries = np.empty((len(triple_indices(v.shape[0])),) + v.shape[1:])
-    for t, block in enumerate(_frobenius_blocks(v, e)):
-        entries[t] = block
-    return entries
-
-
 def frobenius_tensor(nu: VectorField, f: VectorField) -> Alternating3Field:
-    """T_kij = nu_k h_ij + nu_i h_jk + nu_j h_ki on increasing triples.
+    """T_kij = nu_k h_ij + nu_i h_jk + nu_j h_ki on increasing triples: the
+    one place the whole tensor is formed.
 
     For k < i < j the curl entries are read from the upper triangle as
     h_ij - h_kj + h_ki, and the sign is exact in floating point."""
     domain = require_same_domain(nu, f)
-    # the curl is freed when the fill returns; the field adopts the entries
-    return Alternating3Field._adopt(
-        domain, _frobenius_entries(nu.values, curl_matrix(f).entries))
+    entries = np.empty((len(triple_indices(domain.m)),) + domain.counts)
+    # the exhausted block generator frees the curl; the field adopts the entries
+    for t, block in enumerate(_frobenius_blocks(nu.values, curl_matrix(f).entries)):
+        entries[t] = block
+    return Alternating3Field._adopt(domain, entries)
+
+
+def integrability_labels(mask: SingularMask, blocks: Iterable[np.ndarray],
+                         eta: float) -> np.ndarray:
+    """Per-node labels from the singular mask and the Frobenius tensor's
+    blocks, one node array per triple: off the mask a node is integrable iff
+    its max |T| is below eta * field_scale(T). The max is taken one block at
+    a time, so blocks streamed from `_frobenius_blocks` never form the whole
+    tensor."""
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    tmax = np.zeros(mask.domain.counts)  # stays zero for m = 2
+    for block in blocks:
+        np.maximum(tmax, np.abs(block), out=tmax)
+    scale = field_scale(tmax)  # the max-norm of the tensor, read off tmax
+    return np.where(
+        mask.flags,
+        int(IntegrabilityLabel.SINGULAR),
+        np.where(tmax < eta * scale,
+                 int(IntegrabilityLabel.INTEGRABLE),
+                 int(IntegrabilityLabel.NONINTEGRABLE)),
+    ).astype(np.int8)
 
 
 @dataclass(frozen=True)
 class ClassificationField:
-    """Per-node integrability labels with the thresholds that produced them,
-    and the horizontal normal, singular mask and Frobenius tensor they were
-    read from."""
+    """Per-node integrability labels and the Frobenius tensor they were read
+    from."""
 
-    domain: GridDomain
     labels: np.ndarray
-    tau: float
-    eta: float
-    normal: VectorField
-    mask: SingularMask
     tensor: Alternating3Field
 
     def fraction(self, label: IntegrabilityLabel) -> float:
@@ -112,38 +123,12 @@ def classify_integrability(w: ScalarField, f: VectorField,
     residuals of truly integrable data from order-one values at the shipped
     resolutions; it is resolution dependent.
     """
-    labels, nu, mask, entries = _classify(w, f, curl_matrix(f).entries, tau, eta,
-                                          keep_tensor=True)
-    # the curl is freed by now; the field adopts the tensor entries
-    return ClassificationField(domain=nu.domain, labels=labels, tau=tau, eta=eta,
-                               normal=nu, mask=mask,
-                               tensor=Alternating3Field._adopt(nu.domain, entries))
-
-
-def _classify(w: ScalarField, f: VectorField, curl_entries: np.ndarray, tau: float,
-              eta: float, keep_tensor: bool = False
-              ) -> tuple[np.ndarray, VectorField, SingularMask, np.ndarray | None]:
-    """The labels, normal, mask and (with `keep_tensor`) Frobenius tensor
-    entries of `classify_integrability`, from the curl entries of f, so that
-    a caller holding the curl builds it once. The per-node max |T| is taken
-    one block at a time; without `keep_tensor` the whole tensor is never
-    held."""
-    if not (tau > 0 and eta > 0):
+    if not (tau > 0 and eta > 0):  # refused before any tensor is formed
         raise ValueError("tau and eta must be positive")
-    nu, mask = horizontal_normal(w, f, tau)  # checks that w and f share a domain
-    entries = _frobenius_entries(nu.values, curl_entries) if keep_tensor else None
-    tmax = np.zeros(w.domain.counts)  # stays zero for m = 2
-    for block in (entries if keep_tensor else _frobenius_blocks(nu.values, curl_entries)):
-        np.maximum(tmax, np.abs(block), out=tmax)
-    scale = field_scale(tmax)  # the max-norm of the tensor, read off tmax
-    labels = np.where(
-        mask.flags,
-        int(IntegrabilityLabel.SINGULAR),
-        np.where(tmax < eta * scale,
-                 int(IntegrabilityLabel.INTEGRABLE),
-                 int(IntegrabilityLabel.NONINTEGRABLE)),
-    ).astype(np.int8)
-    return labels, nu, mask, entries
+    nu, mask = horizontal_normal(w, f, tau)[:2]  # the weight is freed at once
+    tensor = frobenius_tensor(nu, f)
+    return ClassificationField(labels=integrability_labels(mask, tensor.blocks, eta),
+                               tensor=tensor)
 
 
 def _check_triple(nu: VectorField, d: ScalarField, f: VectorField) -> GridDomain:

@@ -25,7 +25,7 @@ from .grids import (
     field_scale,
     require_same_domain,
 )
-from .horizontal import DEFAULT_SINGULAR_TOL, _normal_and_weight, curl_matrix
+from .horizontal import DEFAULT_SINGULAR_TOL, curl_matrix, horizontal_normal
 from .integrability import _check_triple
 
 DEFAULT_CLOSEDNESS_TOL = 1e-3
@@ -290,7 +290,7 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
         flat_pos = int(np.argmax(abs_entries))
         pair_pos, node_flat = divmod(flat_pos, domain.node_count)
         node = tuple(int(i) for i in np.unravel_index(node_flat, domain.counts))
-        raise NotClosedError(max_abs=max_abs, pair=residual.pairs[pair_pos],
+        raise NotClosedError(max_abs=max_abs, pair=residual.indices[pair_pos],
                              node=node, bound=bound)
 
     if method == "staircase":
@@ -342,11 +342,11 @@ def verify_normal(u: ScalarField, nu: VectorField, d: ScalarField,
     mismatch, both off the singular mask of (u, F). Mismatches are reported,
     never raised."""
     domain = require_same_domain(u, nu, d, f)
-    computed_nu, mask, computed_d = _normal_and_weight(u, f, tau)
+    computed_nu, mask, computed_d = horizontal_normal(u, f, tau)
     off = ~mask.flags
     diff = np.sqrt(np.sum((computed_nu.values - nu.values) ** 2, axis=0))
     normal_err = float(diff[off].max()) if off.any() else 0.0
-    wdiff = np.abs(computed_d - d.values) / field_scale(d)
+    wdiff = np.abs(computed_d.values - d.values) / field_scale(d)
     weight_err = float(wdiff[off].max()) if off.any() else 0.0
     return NormalCheck(normal_max_error=normal_err,
                        weight_max_error=weight_err,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fieldio import format_real, read_field, write_csv, write_field
 from .grids import ScalarField, VectorField
-from .horizontal import (DEFAULT_SINGULAR_TOL, _normal_and_weight, curl_matrix,
+from .horizontal import (DEFAULT_SINGULAR_TOL, curl_matrix, horizontal_normal,
                          singular_stats)
 from .integrability import (DEFAULT_CLASSIFY_TOL, IntegrabilityLabel,
                             classify_integrability, renormalize_normal)
@@ -206,8 +206,8 @@ def _derive_normal_weight(data: dict):
     if "nu" in data and "d" in data:
         return data["nu"], data["d"]
     if "u" in data and "f" in data:
-        nu, _, d = _normal_and_weight(data["u"], data["f"])
-        return nu, ScalarField(nu.domain, d)
+        nu, _, d = horizontal_normal(data["u"], data["f"])
+        return nu, d
     raise ConfigError("need either (nu, d) or (u, f) to derive the normal")
 
 
@@ -244,16 +244,15 @@ def _run_scenario(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitC
 
 def _run_evaluate(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode:
     u, f, h = data["u"], data["f"], data.get("h")
-    _, mask, d = _normal_and_weight(u, f, _tau(config))  # one kernel call
-    value = _functional_from_weight(u, d, h)
+    _, mask, weight = horizontal_normal(u, f, _tau(config))  # one kernel call
+    value = _functional_from_weight(u, weight.values, h)
     stats = singular_stats(mask)
-    weight = ScalarField(mask.domain, d)
     write_field(weight, out("weight.pfld"))
     write_csv(weight, out("weight.csv"))
     _write_summary(out, [
         ("functional", value),
-        ("weight_min", float(d.min())),
-        ("weight_max", float(d.max())),
+        ("weight_min", float(weight.values.min())),
+        ("weight_max", float(weight.values.max())),
         ("singular_fraction", stats.fraction),
         ("singular_ball_radius", stats.ball_radius),
     ])

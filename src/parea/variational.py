@@ -40,7 +40,12 @@ from .horizontal import (
     curl_matrix,
     horizontal_normal,
 )
-from .integrability import DEFAULT_CLASSIFY_TOL, IntegrabilityLabel, _classify
+from .integrability import (
+    DEFAULT_CLASSIFY_TOL,
+    IntegrabilityLabel,
+    _frobenius_blocks,
+    integrability_labels,
+)
 from .skewalg import DEFAULT_RANK_TOL, SkewMatrix, triangle_ranks
 
 
@@ -100,7 +105,7 @@ def first_variation(u: ScalarField, phi: ScalarField, f: VectorField,
     left, so right >= left with equality iff the mask is empty.
     """
     domain = require_same_domain(u, phi, f)
-    nu, mask = horizontal_normal(u, f, tau)
+    nu, mask, _ = horizontal_normal(u, f, tau)
     gphi = gradient(phi).values
     common = np.einsum("k...,k...->...", nu.values, gphi)
     if h is not None:
@@ -425,14 +430,18 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     inner product |< (grad(u_eps) + F)^a , grad(v) - grad(u) >| (the pointwise
     sup of the integrand is reported alongside)."""
     domain = require_same_domain(u, v, f)
-    # one curl for the ranks and both classifications, which read only
-    # labels and so never hold a Frobenius tensor; each large array is
+    # one curl for the ranks and both classifications, whose labels stream
+    # the Frobenius blocks and so never hold a tensor; each large array is
     # dropped once the last quantity read from it exists
     h_curl = curl_matrix(f)
     ranks = pointwise_skew_rank(h_curl)
 
-    labels_u, nu_u, mask_u, _ = _classify(u, f, h_curl.entries, tau, eta)
-    labels_v, nu_v, mask_v, _ = _classify(v, f, h_curl.entries, tau, eta)
+    nu_u, mask_u = horizontal_normal(u, f, tau)[:2]
+    labels_u = integrability_labels(
+        mask_u, _frobenius_blocks(nu_u.values, h_curl.entries), eta)
+    nu_v, mask_v = horizontal_normal(v, f, tau)[:2]
+    labels_v = integrability_labels(
+        mask_v, _frobenius_blocks(nu_v.values, h_curl.entries), eta)
     del h_curl
     joint = mask_u.flags | mask_v.flags
     off = ~joint

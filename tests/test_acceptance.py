@@ -109,7 +109,7 @@ def _roundtrip_errors(n: int):
     f = sample_vector(d, [lambda x, y: -y, lambda x, y: x])
     u_star = sample(d, lambda x, y: np.sin(x) + x * y)
     dd = weight(u_star, f)
-    nu, _ = horizontal_normal(u_star, f)
+    nu, _, _ = horizontal_normal(u_star, f)
     result = integrate_potential(candidate_gradient(nu, dd, f))
     shifted = u_star.values - u_star.values[0, 0]
     err = float(np.max(np.abs(result.field.values - shifted)))

@@ -30,6 +30,10 @@ def run_cli(*args):
     return main(list(args))
 
 
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 class TestScenarioCommand:
     def test_passing_scenario(self, tmp_path):
         code = run_cli("scenario", "example_2_2", "--out", str(tmp_path))
@@ -69,6 +73,27 @@ class TestDeterminism:
         run_cli("scenario", "random_smooth", "--seed", "10", "--out", str(out2),
                 "--resolution", "33")
         assert (out1 / "u.csv").read_bytes() != (out2 / "u.csv").read_bytes()
+
+    def test_artifacts_do_not_depend_on_inherited_thread_settings(self, tmp_path):
+        """`PAREA_THREADS` unset must mean one thread: a BLAS matmul split
+        across two threads changes the last bits of the 97^2 stencils. On a
+        1-core machine BLAS runs one thread either way, so there this test
+        cannot fail."""
+        base = {k: v for k, v in os.environ.items()
+                if k not in _THREAD_VARIABLES and k != "PAREA_THREADS"}
+        base["PYTHONPATH"] = os.pathsep.join(sys.path)
+        outs = []
+        for name, extra in (("unset", {}), ("one", {"PAREA_THREADS": "1"})):
+            out = tmp_path / name
+            argv = ["scenario", "smooth_roundtrip", "--resolution", "97", "--out", str(out)]
+            subprocess.run([sys.executable, "-m", "parea.cli", *argv],
+                           env={**base, **extra}, check=True, capture_output=True)
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert {"d.pfld", "nu.csv"} <= set(names)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestReconstruct:
@@ -204,6 +229,16 @@ class TestOtherPipelines:
             for line in (tmp_path / "audit.csv").read_text().splitlines()[1:])
         assert float(audit["normal_max"]) <= 1e-12
         assert float(audit["rank_condition_fraction"]) == 0.0
+
+    @pytest.mark.parametrize("operation", ["check-integrability", "audit-uniqueness"])
+    @pytest.mark.parametrize("flag", [("--eta", "0"), ("--eta", "-1"), ("--tol", "0")],
+                             ids=["eta-0", "eta-negative", "tol-0"])
+    def test_bad_threshold_is_refused_up_front(self, tmp_path, operation, flag):
+        out = tmp_path / "out"
+        code = run_cli(operation, "--scenario", "example_2_2", "--resolution", "9",
+                       *flag, "--out", str(out))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert not out.exists()
 
     def test_audit_odd_m_names_the_cause(self, tmp_path, capsys):
         d = build_domain(3, [0.0] * 3, [1.0] * 3, [5] * 3)

@@ -36,7 +36,7 @@ from parea.grids import (
     sample_vector,
     triple_indices,
 )
-from parea.horizontal import curl_matrix, horizontal_normal, singular_set
+from parea.horizontal import curl_matrix, horizontal_normal
 from parea.integrability import frobenius_tensor
 from parea.scenarios import builtin_scenario
 
@@ -98,7 +98,7 @@ def test_alt3_round_trip(tmp_path):
 
 def test_write_field_refuses_singular_mask(tmp_path, domain):
     """A mask has a CSV form but no `.pfld` kind, so nothing is written."""
-    mask = SingularMask(domain, np.ones(domain.counts, dtype=bool), 1e-6)
+    mask = SingularMask(domain, np.ones(domain.counts, dtype=bool))
     path = tmp_path / "mask.pfld"
     with pytest.raises(TypeError, match="SingularMask"):
         write_field(mask, path)
@@ -233,9 +233,9 @@ def _reference_csv(field) -> bytes:
     elif isinstance(field, VectorField):
         names = [f"v{k + 1}" for k in range(d.m)]
     elif isinstance(field, SkewField):
-        names = [f"h_{i + 1}_{j + 1}" for i, j in field.pairs]
+        names = [f"h_{i + 1}_{j + 1}" for i, j in field.indices]
     else:
-        names = [f"t_{k + 1}_{i + 1}_{j + 1}" for k, i, j in field.triples]
+        names = [f"t_{k + 1}_{i + 1}_{j + 1}" for k, i, j in field.indices]
     cols = [mesh.ravel() for mesh in d.meshes()] + [block.ravel() for block in blocks]
     lines = [",".join([f"x{k + 1}" for k in range(d.m)] + names)]
     for idx in range(d.node_count):
@@ -326,7 +326,7 @@ def test_golden_artifact_digests(tmp_path):
         f = data["f"]
         extra = {"curl": curl_matrix(f)}
         if "u" in data:
-            extra["singular"] = singular_set(data["u"], f)
+            extra["singular"] = horizontal_normal(data["u"], f)[1]
         nu = data["nu"] if "nu" in data else horizontal_normal(data["u"], f)[0]
         extra["frobenius"] = frobenius_tensor(nu, f)
         for key, fld in extra.items():

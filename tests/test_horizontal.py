@@ -21,11 +21,8 @@ from parea.grids import (
 from parea.horizontal import (
     curl_matrix,
     horizontal_normal,
-    residual_norms,
-    singular_set,
     singular_stats,
     structure_identity_residual,
-    tangential_derivative,
     weight,
 )
 from parea import horizontal as horizontal_module
@@ -64,17 +61,20 @@ class TestWeight:
         assert np.max(np.abs(weight(u, f).values - 5.0)) == 0.0
 
 
+def singular_mask(u, f, tau=1e-6):
+    return horizontal_normal(u, f, tau)[1]
+
+
 class TestSingularSet:
     def test_empty_off_origin(self):
         d, f, u = rotation_pair()
-        mask = singular_set(u, f, 1e-6)
-        assert not mask.any()
+        assert not singular_mask(u, f).any()
 
     def test_zero_line_flagged(self):
         d = build_domain(2, [-1, 0], [1, 1], [65, 65])
         f = sample_vector(d, [lambda x, y: -y, lambda x, y: x])
         u = sample(d, lambda x, y: x * y)
-        mask = singular_set(u, f, 1e-6)
+        mask = singular_mask(u, f)
         # D = |2x|: exactly the x = 0 node column
         expected = np.zeros(d.counts, dtype=bool)
         expected[32, :] = True
@@ -84,12 +84,12 @@ class TestSingularSet:
         d = build_domain(2, [0, 0], [1, 1], [9, 9])
         u = sample(d, lambda x, y: x * x + y)
         f = VectorField(d, -gradient(u).values)
-        assert singular_set(u, f, 1e-6).fraction == 1.0
+        assert singular_mask(u, f).fraction == 1.0
 
     def test_tau_must_be_positive(self):
         d, f, u = rotation_pair(n=9)
         with pytest.raises(ValueError):
-            singular_set(u, f, 0.0)
+            horizontal_normal(u, f, 0.0)
 
 
 def seeded_pair(m, n, seed):
@@ -109,12 +109,10 @@ class TestOneKernel:
         u, f, g = seeded_pair(m, n, seed)
         for field in (f, g):
             for tau in (1e-6, 1e-2, 0.5):
-                mask = singular_set(u, field, tau)
-                _, normal_mask = horizontal_normal(u, field, tau)
-                assert np.array_equal(mask.flags, normal_mask.flags)
-                assert mask.threshold == normal_mask.threshold
-                # the definition it replaces: D < tau * field_scale(D)
-                d = weight(u, field)
+                _, mask, d = horizontal_normal(u, field, tau)
+                # the weight of the same kernel call, and the singular set
+                # by its definition D < tau * field_scale(D)
+                assert np.array_equal(d.values, weight(u, field).values)
                 assert np.array_equal(mask.flags, d.values < tau * field_scale(d))
 
     def test_weight_is_norm_of_shifted_gradient(self, m, n, seed):
@@ -127,7 +125,7 @@ class TestOneKernel:
 class TestHorizontalNormal:
     def test_bilinear_pair_unit_y(self):
         d, f, u = rotation_pair()
-        nu, mask = horizontal_normal(u, f)
+        nu, mask, _ = horizontal_normal(u, f)
         assert not mask.any()
         assert np.max(np.abs(nu.values[0])) < 1e-13
         assert np.max(np.abs(nu.values[1] - 1.0)) < 1e-13
@@ -135,7 +133,7 @@ class TestHorizontalNormal:
     def test_shifted_pair_same_normal(self):
         d, f, _ = rotation_pair()
         v = sample(d, lambda x, y: x * y + y)
-        nu, mask = horizontal_normal(v, f)
+        nu, mask, _ = horizontal_normal(v, f)
         assert not mask.any()
         assert np.max(np.abs(nu.values[1] - 1.0)) < 1e-13
 
@@ -143,14 +141,14 @@ class TestHorizontalNormal:
         d = build_domain(2, [0, 0], [1, 1], [9, 9])
         u = sample(d, lambda x, y: 0.0)
         f = sample_vector(d, [lambda x, y: 1.0, lambda x, y: 0.0])
-        nu, _ = horizontal_normal(u, f)
+        nu, _, _ = horizontal_normal(u, f)
         assert np.array_equal(nu.values[0], np.ones(d.counts))
 
     def test_unit_norm_off_mask(self):
         d = build_domain(2, [0, 0], [1, 1], [17, 17])
         u = ScalarField(d, 0.2 * random_smooth_scalar(d, 5, 2).values)
         f = sample_vector(d, [lambda x, y: 2.0 + 0 * x, lambda x, y: 1.0 + 0 * x])
-        nu, mask = horizontal_normal(u, f)
+        nu, mask, _ = horizontal_normal(u, f)
         norms = np.sqrt(np.sum(nu.values ** 2, axis=0))
         assert np.max(np.abs(norms[~mask.flags] - 1.0)) <= 1e-12
 
@@ -158,7 +156,7 @@ class TestHorizontalNormal:
         d = build_domain(2, [0, 0], [1, 1], [9, 9])
         u = sample(d, lambda x, y: x * y)
         f = VectorField(d, -gradient(u).values)
-        nu, mask = horizontal_normal(u, f)
+        nu, mask, _ = horizontal_normal(u, f)
         assert mask.fraction == 1.0
         assert np.all(nu.values == 0.0)
 
@@ -168,8 +166,8 @@ class TestHorizontalNormal:
         f = sample_vector(d, [lambda x, y: -y, lambda x, y: x + 0.25])
         u = sample(d, lambda x, y: x * y)
         u_shift = ScalarField(d, u.values + 0.5)
-        nu1, _ = horizontal_normal(u, f)
-        nu2, _ = horizontal_normal(u_shift, f)
+        nu1, _, _ = horizontal_normal(u, f)
+        nu2, _, _ = horizontal_normal(u_shift, f)
         assert np.array_equal(nu1.values, nu2.values)
 
 
@@ -202,39 +200,16 @@ class TestCurlMatrix:
             lambda a, b, c, e: -e, lambda a, b, c, e: c,
         ])
         h = curl_matrix(f)
-        for (i, j) in h.pairs:
+        for (i, j) in h.indices:
             expected = 2.0 if (i, j) in ((0, 1), (2, 3)) else 0.0
             assert np.array_equal(h.entry(i, j), np.full(d.counts, expected))
-
-
-class TestTangentialDerivative:
-    def unit_y(self, d):
-        return VectorField(d, np.stack([np.zeros(d.counts), np.ones(d.counts)]))
-
-    def test_projects_out_normal_direction(self):
-        d = build_domain(2, [0, 0], [1, 1], [9, 9])
-        out = tangential_derivative(self.unit_y(d), sample(d, lambda x, y: x))
-        assert np.array_equal(out.values[0], np.ones(d.counts))
-        assert np.all(out.values[1] == 0.0)
-
-    def test_normal_direction_killed(self):
-        d = build_domain(2, [0, 0], [1, 1], [9, 9])
-        out = tangential_derivative(self.unit_y(d), sample(d, lambda x, y: y))
-        assert np.max(np.abs(out.values)) == 0.0
-
-    def test_unit_x(self):
-        d = build_domain(2, [0, 0], [1, 1], [9, 9])
-        nu = VectorField(d, np.stack([np.ones(d.counts), np.zeros(d.counts)]))
-        out = tangential_derivative(nu, sample(d, lambda x, y: x + y))
-        assert np.max(np.abs(out.values[0])) == 0.0
-        assert np.array_equal(out.values[1], np.ones(d.counts))
 
 
 def reference_identity_residual(u, f, tau=1e-6):
     """The structure identity residual built pair by pair, node stencil by
     node stencil: the reference for the batched form."""
     d = u.domain
-    nu, mask = horizontal_normal(u, f, tau)
+    nu, mask, _ = horizontal_normal(u, f, tau)
     v, flags = nu.values, mask.flags
     dnu = np.empty((d.m, d.m) + d.counts)
     for i in range(d.m):
@@ -300,7 +275,7 @@ class TestSingularStats:
         d = build_domain(2, lower, [1, 1], [n, n])
         f = sample_vector(d, [lambda x, y: -y, lambda x, y: x])
         u = sample(d, lambda x, y: x * y)
-        return singular_set(u, f, 1e-6)
+        return singular_mask(u, f)
 
     def test_empty(self):
         stats = singular_stats(self.rotation_mask([0.1, 0]))
@@ -311,7 +286,7 @@ class TestSingularStats:
         d = build_domain(2, [0, 0], [1, 1], [65, 65])
         u = sample(d, lambda x, y: x + y)
         f = VectorField(d, -gradient(u).values)
-        stats = singular_stats(singular_set(u, f, 1e-6))
+        stats = singular_stats(singular_mask(u, f))
         assert stats.fraction == 1.0
         assert stats.ball_radius == 32
 
@@ -327,7 +302,7 @@ class TestSingularStats:
             counts = tuple(int(n) for n in rng.integers(5, 12 if m < 4 else 8, m))
             d = build_domain(m, [0] * m, [1] * m, counts)
             flags = rng.random(counts) > 10.0 ** rng.uniform(-3, -0.3)
-            stats = singular_stats(SingularMask(d, flags, 1e-6))
+            stats = singular_stats(SingularMask(d, flags))
             assert stats.ball_radius == box_search_radius(flags)
 
     def test_no_scipy_ndimage(self):
@@ -349,15 +324,6 @@ def box_search_radius(flags) -> int:
                for centre in itertools.product(*ranges)):
             best = r
     return best
-
-
-class TestResidualNorms:
-    def test_masked_l1(self):
-        d = build_domain(2, [0, 0], [1, 1], [5, 5])
-        f = sample(d, lambda x, y: 1.0)
-        norms = residual_norms(f)
-        assert norms.max == 1.0
-        assert norms.l1 == pytest.approx(1.0)
 
 
 class TestOneKernelCall:
@@ -404,3 +370,43 @@ class TestOneKernelCall:
                      "--out", str(tmp_path)])
         assert code == 0
         assert len(calls) == 1
+
+
+class TestTracedNormal:
+    """The benchmark's tracer spans the normal by rebinding
+    `horizontal_normal` wherever a `parea` module holds it, so each command
+    that forms a normal must reach it through that name."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = []
+        target = horizontal_module.horizontal_normal
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return target(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "parea" or name.startswith("parea.")) and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is target:
+                        monkeypatch.setattr(module, attr, counting)
+        return count
+
+    def test_every_command_reaches_the_traced_name(self, calls, tmp_path):
+        scenario = tmp_path / "scenario"
+        assert main(["scenario", "smooth_roundtrip", "--resolution", "9",
+                     "--out", str(scenario)]) == 0
+        inputs = [f"--{key}={scenario / key}.pfld" for key in ("nu", "d", "f")]
+        commands = {
+            "reconstruct": ["reconstruct", *inputs],
+            "evaluate": ["evaluate", "--scenario", "random_smooth", "--resolution", "9"],
+            "check-integrability": ["check-integrability", "--scenario", "random_smooth",
+                                    "--resolution", "9"],
+        }
+        reached = {}
+        for name, argv in commands.items():
+            calls.clear()
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+            reached[name] = len(calls)
+        assert all(reached.values()), reached

@@ -26,7 +26,7 @@ def rotation_setup(n=17, lower=(0.1, 0.0)):
     d = build_domain(2, lower, [1, 1], [n, n])
     f = sample_vector(d, [lambda x, y: -y, lambda x, y: x])
     u = sample(d, lambda x, y: x * y)
-    nu, _ = horizontal_normal(u, f)
+    nu, _, _ = horizontal_normal(u, f)
     return d, f, u, nu, weight(u, f)
 
 
@@ -300,7 +300,7 @@ class TestVerifyNormal:
             d = build_domain(2, [0.2, 0.2], [1.2, 1.2], [n, n])
             f = sample_vector(d, [lambda x, y: -y, lambda x, y: x])
             u_star = sample(d, lambda x, y: np.sin(x) + x * y)
-            nu, _ = horizontal_normal(u_star, f)
+            nu, _, _ = horizontal_normal(u_star, f)
             dd = weight(u_star, f)
             result = integrate_potential(candidate_gradient(nu, dd, f))
             shifted = u_star.values - u_star.values[0, 0]

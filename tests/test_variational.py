@@ -603,7 +603,7 @@ class TestPeakMemory:
 
     def test_frobenius_tensor_peak(self, fields):
         u, _, f, tensor_bytes = fields
-        nu, _ = horizontal_normal(u, f)
+        nu, _, _ = horizontal_normal(u, f)
         assert self.peak(lambda: frobenius_tensor(nu, f)) <= 2.75 * tensor_bytes
 
     def test_pointwise_skew_rank_peak(self, fields):
