@@ -378,13 +378,16 @@ def _run_audit(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode
     return ExitCode.OK
 
 
+def _eps_grid(config: ExperimentConfig) -> np.ndarray:
+    if config.eps_points < 3:
+        raise ConfigError("eps_points must be at least 3")
+    return np.linspace(0.0, 1.0, config.eps_points)
+
+
 def _run_variation_profile(config: ExperimentConfig, data: dict,
                            out: Artifacts) -> ExitCode:
     u, v, f, h = data["u"], data["v"], data["f"], data.get("h")
-    if config.eps_points < 3:
-        raise ConfigError("eps_points must be at least 3")
-    eps = np.linspace(0.0, 1.0, config.eps_points)
-    profile = line_profile(u, v, f, h, eps)
+    profile = line_profile(u, v, f, h, _eps_grid(config))
     _write_rows(out("profile.dat"), "# eps value",
                 zip(profile.eps.tolist(), profile.values.tolist()), " ")
     _write_summary(out, [
@@ -437,7 +440,7 @@ PIPELINES = {
     "audit-uniqueness": Operation(_run_audit, ("tol", "eta"), ("u", "v", "f"), ("h",)),
     "scenario": Operation(_run_scenario, ("scenario", "seed", "resolution")),
     "variation-profile": Operation(_run_variation_profile, ("eps_points",),
-                                   ("u", "v", "f"), ("h",)),
+                                   ("u", "v", "f"), ("h",), check=_eps_grid),
 }
 
 

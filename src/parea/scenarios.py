@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,6 +74,8 @@ def heisenberg_field(domain: GridDomain) -> VectorField:
 
 def _trig_series(domain: GridDomain, rng: np.random.Generator,
                  band: int) -> np.ndarray:
+    if band < 0:
+        raise ValueError("band must be nonnegative")
     meshes = domain.meshes()
     values = np.zeros(domain.counts)
     for k in itertools.product(range(band + 1), repeat=domain.m):
@@ -91,16 +92,12 @@ def _trig_series(domain: GridDomain, rng: np.random.Generator,
 
 def random_smooth_scalar(domain: GridDomain, seed: int, band: int) -> ScalarField:
     """Seeded truncated trigonometric series; band 0 gives a constant."""
-    if band < 0:
-        raise ValueError("band must be nonnegative")
     rng = np.random.default_rng(seed)
     return ScalarField(domain, _trig_series(domain, rng, band))
 
 
 def random_smooth_field(domain: GridDomain, seed: int, band: int) -> VectorField:
     """Vector variant: m independent series drawn from one seeded stream."""
-    if band < 0:
-        raise ValueError("band must be nonnegative")
     rng = np.random.default_rng(seed)
     comps = [_trig_series(domain, rng, band) for _ in range(domain.m)]
     return VectorField(domain, np.stack(comps))
@@ -146,13 +143,15 @@ class CheckOutcome:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    summary: str
-    dimension: int
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     default_counts: tuple[int, ...]
     builder: Callable[[GridDomain, int], dict]
     checker: Callable[[dict], list[CheckOutcome]]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.lower)
 
     def domain(self, counts=None) -> GridDomain:
         if counts is None:
@@ -395,86 +394,37 @@ def _check_random_smooth(data: dict) -> list[CheckOutcome]:
 # Registry
 # --------------------------------------------------------------------------
 
-_SCENARIOS = {
-    "example_2_2": Scenario(
-        name="example_2_2",
-        summary="bilinear pair u=xy, v=xy+y sharing one horizontal normal "
-                "on x>0 while the gradients differ by (0,1)",
-        dimension=2,
-        lower=(0.1, 0.0), upper=(1.0, 1.0), default_counts=(65, 65),
-        builder=_build_shared_normal_pair,
-        checker=_check_shared_normal_pair,
-    ),
-    "example_4_2": Scenario(
-        name="example_4_2",
-        summary="m=4 pairwise rotation field with nu=dx1, D=-2y1: the "
-                "contracted closedness condition holds but the candidate "
-                "gradient is not closed",
-        dimension=4,
-        lower=(0.0, -1.0, 0.0, 0.0), upper=(1.0, -0.1, 1.0, 1.0),
-        default_counts=(7, 7, 7, 7),
-        builder=_build_contracted_not_closed,
-        checker=_check_contracted_not_closed,
-    ),
-    "example_4_3": Scenario(
-        name="example_4_3",
-        summary="F=0 with a constant unit normal and linear weight: the "
-                "tangential compatibility holds while the contraction "
-                "residual has unit norm",
-        dimension=3,
-        lower=(0.1, 0.1, 0.1), upper=(1.1, 1.1, 1.1),
-        default_counts=(17, 17, 17),
-        builder=_build_curl_ok_contraction_fails,
-        checker=_check_curl_ok_contraction_fails,
-    ),
-    "smooth_roundtrip": Scenario(
-        name="smooth_roundtrip",
-        summary="recover u* = sin(x) + xy from its derived normal and "
-                "weight; second-order round trip under refinement",
-        dimension=2,
-        lower=(0.2, 0.2), upper=(1.2, 1.2), default_counts=(65, 65),
-        builder=_build_roundtrip,
-        checker=_check_roundtrip,
-    ),
-    "random_smooth": Scenario(
-        name="random_smooth",
-        summary="seeded smooth (u, F) with the weight bounded below; the "
-                "structure identity residual refines at second order",
-        dimension=2,
-        lower=(0.0, 0.0), upper=(1.0, 1.0), default_counts=(65, 65),
-        builder=_build_random_smooth,
-        checker=_check_random_smooth,
-    ),
-}
-
-_HEISENBERG_COUNTS = {2: (65, 65), 4: (9, 9, 9, 9), 6: (5, 5, 5, 5, 5, 5)}
-_HEISENBERG_RE = re.compile(r"^heisenberg[\(_]?(\d+)\)?$")
+def _heisenberg(n: int, count: int) -> Scenario:
+    """`heisenberg(n)`: the pairwise rotation field on [0, 1]^(2n)."""
+    m = 2 * n
+    return Scenario(f"heisenberg({n})", (0.0,) * m, (1.0,) * m, (count,) * m,
+                    _build_heisenberg, _check_heisenberg)
 
 
-def scenario_names() -> list[str]:
-    return sorted(_SCENARIOS) + ["heisenberg(n)"]
+# Every built-in scenario under its exact name, in the README's order:
+# name, lower and upper corners, default counts, builder, checker.
+_SCENARIOS = {scenario.name: scenario for scenario in (
+    Scenario("example_2_2", (0.1, 0.0), (1.0, 1.0), (65, 65),
+             _build_shared_normal_pair, _check_shared_normal_pair),
+    Scenario("example_4_2", (0.0, -1.0, 0.0, 0.0), (1.0, -0.1, 1.0, 1.0), (7,) * 4,
+             _build_contracted_not_closed, _check_contracted_not_closed),
+    Scenario("example_4_3", (0.1,) * 3, (1.1,) * 3, (17,) * 3,
+             _build_curl_ok_contraction_fails, _check_curl_ok_contraction_fails),
+    _heisenberg(1, 65),
+    _heisenberg(2, 9),
+    _heisenberg(3, 5),
+    Scenario("smooth_roundtrip", (0.2, 0.2), (1.2, 1.2), (65, 65),
+             _build_roundtrip, _check_roundtrip),
+    Scenario("random_smooth", (0.0, 0.0), (1.0, 1.0), (65, 65),
+             _build_random_smooth, _check_random_smooth),
+)}
 
 
 def builtin_scenario(name: str) -> Scenario:
-    """Look up a library scenario; `heisenberg(n)` is generated per n."""
-    key = name.strip()
-    match = _HEISENBERG_RE.match(key)
-    if match:
-        n = int(match.group(1))
-        m = 2 * n
-        if not 1 <= n <= 3:
-            raise UnknownScenarioError(
-                f"heisenberg({n}) outside the supported range n = 1..3")
-        return Scenario(
-            name=f"heisenberg({n})",
-            summary="standard pairwise rotation field: constant curl blocks, "
-                    "constant transformed divergence, full pointwise rank",
-            dimension=m,
-            lower=(0.0,) * m, upper=(1.0,) * m,
-            default_counts=_HEISENBERG_COUNTS[m],
-            builder=_build_heisenberg,
-            checker=_check_heisenberg,
-        )
-    if key not in _SCENARIOS:
-        raise UnknownScenarioError(f"unknown scenario {name!r}")
-    return _SCENARIOS[key]
+    """The built-in scenario called exactly `name`."""
+    try:
+        return _SCENARIOS[name]
+    except KeyError:
+        raise UnknownScenarioError(
+            f"unknown scenario {name!r}; built-in scenarios: "
+            f"{', '.join(_SCENARIOS)}") from None

@@ -436,10 +436,16 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     h_curl = curl_matrix(f)
     ranks = pointwise_skew_rank(h_curl)
 
-    nu_u, mask_u = horizontal_normal(u, f, tau)[:2]
+    # each candidate's functional reads the weight that came with its normal,
+    # so the functional gap needs no kernel call of its own
+    nu_u, mask_u, d = horizontal_normal(u, f, tau)
+    functional_u = _functional_from_weight(u, d.values, h)
+    del d
     labels_u = integrability_labels(
         mask_u, _frobenius_blocks(nu_u.values, h_curl.entries), eta)
-    nu_v, mask_v = horizontal_normal(v, f, tau)[:2]
+    nu_v, mask_v, d = horizontal_normal(v, f, tau)
+    functional_v = _functional_from_weight(v, d.values, h)
+    del d
     labels_v = integrability_labels(
         mask_v, _frobenius_blocks(nu_v.values, h_curl.entries), eta)
     del h_curl
@@ -479,7 +485,7 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
         ortho_pointwise = max(ortho_pointwise, float(np.max(np.abs(dots))))
         eps_masks.append((e, float(_singular_flags(d, tau).mean())))
 
-    gap = abs(functional(u, f, h) - functional(v, f, h))
+    gap = abs(functional_u - functional_v)
 
     rank_flags.setflags(write=False)
     noninteg.setflags(write=False)

@@ -46,6 +46,16 @@ class TestScenarioCommand:
         code = run_cli("scenario", "nope", "--out", str(tmp_path))
         assert code == int(ExitCode.CONFIG_ERROR)
 
+    @pytest.mark.parametrize("name", [
+        "heisenberg_2", "heisenberg(2", "heisenberg(4)", " heisenberg(1)"])
+    def test_inexact_name_is_refused(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        assert run_cli("scenario", name, "--out", str(out)) == int(ExitCode.CONFIG_ERROR)
+        assert not out.exists()
+        assert ("built-in scenarios: example_2_2, example_4_2, example_4_3, heisenberg(1), "
+                "heisenberg(2), heisenberg(3), smooth_roundtrip, random_smooth"
+                in capsys.readouterr().out)
+
     def test_resolution_override(self, tmp_path):
         code = run_cli("scenario", "example_2_2", "--out", str(tmp_path),
                        "--resolution", "17")
@@ -79,21 +89,40 @@ class TestDeterminism:
         across two threads changes the last bits of the 97^2 stencils. On a
         1-core machine BLAS runs one thread either way, so there this test
         cannot fail."""
-        base = {k: v for k, v in os.environ.items()
-                if k not in _THREAD_VARIABLES and k != "PAREA_THREADS"}
-        base["PYTHONPATH"] = os.pathsep.join(sys.path)
-        outs = []
-        for name, extra in (("unset", {}), ("one", {"PAREA_THREADS": "1"})):
-            out = tmp_path / name
-            argv = ["scenario", "smooth_roundtrip", "--resolution", "97", "--out", str(out)]
-            subprocess.run([sys.executable, "-m", "parea.cli", *argv],
-                           env={**base, **extra}, check=True, capture_output=True)
-            outs.append(out)
-        names = sorted(p.name for p in outs[0].iterdir())
-        assert names == sorted(p.name for p in outs[1].iterdir())
-        assert {"d.pfld", "nu.csv"} <= set(names)
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        unset, one = tmp_path / "unset", tmp_path / "one"
+        _fresh_interpreter_run(_THREADS_ARGV, unset)
+        _fresh_interpreter_run(_THREADS_ARGV, one, PAREA_THREADS="1")
+        _assert_same_artifacts(unset, one)
+
+    def test_suite_runs_one_blas_thread(self, tmp_path):
+        """`tests/conftest.py` loads parea before any test module loads
+        numpy, so an in-process run uses the one BLAS thread of the `parea`
+        command. On a 1-core machine BLAS runs one thread either way, so
+        there this test cannot fail."""
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        assert run_cli(*_THREADS_ARGV, "--out", str(here)) == 0
+        _fresh_interpreter_run(_THREADS_ARGV, fresh)
+        _assert_same_artifacts(here, fresh)
+
+
+_THREADS_ARGV = ("scenario", "smooth_roundtrip", "--resolution", "97")
+
+
+def _fresh_interpreter_run(argv, out, **env):
+    """`python -m parea.cli` with no thread variable but those in `env`."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in _THREAD_VARIABLES and k != "PAREA_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(sys.path)
+    subprocess.run([sys.executable, "-m", "parea.cli", *argv, "--out", str(out)],
+                   env={**base, **env}, check=True, capture_output=True)
+
+
+def _assert_same_artifacts(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert {"d.pfld", "nu.csv"} <= set(names)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestReconstruct:
@@ -592,6 +621,15 @@ class TestFlagTable:
                        "--out", str(tmp_path / "out"))
         assert code == int(ExitCode.CONFIG_ERROR)
         assert "max_iterations must be at least 1" in capsys.readouterr().out
+
+    def test_eps_points_are_checked_before_any_input(self, tmp_path, capsys):
+        # the missing files would exit 4 too, but only after the option
+        missing = [f"--{key}={tmp_path / 'nope.pfld'}" for key in ("u", "v", "f")]
+        code = run_cli("variation-profile", *missing, "--eps-points", "2",
+                       "--out", str(tmp_path / "out"))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert "eps_points must be at least 3" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["minimize", "--scenario", "heisenberg(1)", "--max-iterations", "0"],

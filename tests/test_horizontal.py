@@ -32,6 +32,7 @@ from parea.cli import main
 from parea.reconstruction import verify_normal
 from parea.runner import _derive_normal_weight
 from parea.scenarios import builtin_scenario, random_smooth_field, random_smooth_scalar
+from parea.variational import functional, pairwise_rotation, uniqueness_audit
 
 
 def rotation_pair(lower=(0.1, 0.0), upper=(1.0, 1.0), n=33):
@@ -370,6 +371,15 @@ class TestOneKernelCall:
                      "--out", str(tmp_path)])
         assert code == 0
         assert len(calls) == 1
+
+    def test_uniqueness_audit(self, calls, data):
+        # two normals and three eps-interpolants; the functional gap reuses
+        # the two normals' weights
+        u, f = data["u"], data["f"]
+        v = ScalarField(u.domain, u.values + u.domain.meshes()[1])
+        report = uniqueness_audit(u, v, f, None, pairwise_rotation(2))
+        assert len(calls) == 5
+        assert report.functional_gap == abs(functional(u, f) - functional(v, f))
 
 
 class TestTracedNormal:

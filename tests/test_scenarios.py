@@ -1,15 +1,18 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from parea.grids import build_domain
 from parea.scenarios import (
+    _SCENARIOS,
     UnknownScenarioError,
     builtin_scenario,
     heisenberg_field,
     interior_bump,
     random_smooth_field,
     random_smooth_scalar,
-    scenario_names,
     seeded_init,
 )
 
@@ -81,14 +84,21 @@ class TestRegistry:
             builtin_scenario("heisenberg(9)")
 
     def test_heisenberg_name_forms(self):
+        # names match exactly: no alias spelling, no surrounding whitespace
         assert builtin_scenario("heisenberg(2)").dimension == 4
-        assert builtin_scenario("heisenberg_2").dimension == 4
-        assert builtin_scenario("heisenberg2").dimension == 4
+        for name in ("heisenberg_2", "heisenberg2", "heisenberg(2", "heisenberg(4)",
+                     " heisenberg(1)"):
+            with pytest.raises(UnknownScenarioError, match=re.escape(
+                    "built-in scenarios: example_2_2, example_4_2, example_4_3, "
+                    "heisenberg(1), heisenberg(2), heisenberg(3),")):
+                builtin_scenario(name)
 
-    def test_names_listed(self):
-        names = scenario_names()
-        assert "example_2_2" in names
-        assert "heisenberg(n)" in names
+    def test_readme_names_every_builtin(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text[text.index("### Built-in scenarios"):text.index("## File format")]
+        names = [name for line in section.splitlines() if line.startswith("- ")
+                 for name in re.findall(r"`([^`]+)`", line.split(" — ", 1)[0])]
+        assert names == list(_SCENARIOS)
 
 
 @pytest.mark.parametrize("name", [
