@@ -90,17 +90,21 @@ def _format_columns(columns) -> tuple[np.ndarray, np.ndarray]:
     """Strings for equally sized arrays, each formatted once per distinct
     float64 bit pattern of its array: returns `(strings, index)` with
     `strings[index[n, k]]` the text of the n-th value (flat C order) of
-    `columns[k]`."""
-    tables, indices, offset = [], [], 0
-    for col in columns:
+    `columns[k]`. The index is allocated once, at the first column."""
+    tables, index, offset = [], None, 0
+    for k, col in enumerate(columns):
         flat = np.ravel(col).astype(np.float64, copy=False)
         bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+        del flat
         values = tuple(bits.view(np.float64).tolist())
         text = (_REAL_FORMAT + "\n") * len(values) % values
         tables.append(np.array(text.split("\n")[:-1], dtype=object))
-        indices.append(inverse + offset)
+        if index is None:
+            index = np.empty((inverse.size, len(columns)), dtype=inverse.dtype)
+        np.add(inverse, offset, out=index[:, k])
+        del inverse  # before the next column is sorted
         offset += bits.size
-    return np.concatenate(tables), np.stack(indices, axis=1)
+    return np.concatenate(tables), index
 
 
 def _write_rows(out, strings: np.ndarray, index: np.ndarray, sep: str) -> None:
@@ -306,7 +310,10 @@ def write_csv(field, destination) -> None:
     """One row per node: coordinates then value(s), flat C node order."""
     domain: GridDomain = field.domain
     header = ",".join([f"x{k + 1}" for k in range(domain.m)] + field.column_names)
-    strings, index = _format_columns(list(domain.meshes()) + list(field.blocks))
+    # coordinate columns as broadcast views: no mesh is materialised whole
+    axes = [domain.axis_nodes(k) for k in range(domain.m)]
+    strings, index = _format_columns(
+        [*np.meshgrid(*axes, indexing="ij", copy=False), *field.blocks])
     with open(destination, "w", encoding="ascii") as out:
         out.write(header + "\n")
         _write_rows(out, strings, index, ",")

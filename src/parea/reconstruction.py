@@ -6,7 +6,8 @@ trapezoidal line integration along the axis-ordered staircase path from a
 base node; integrating again with the axis order reversed gives a
 path-independence audit. A least-squares mode is available for noisy inputs:
 it runs LSQR (Paige & Saunders, ACM TOMS 8, 1982) on the stacked gradient
-operator plus one gauge row that pins u at the base node.
+operator plus one gauge row that pins u at the base node, both applied
+without a matrix.
 """
 
 from __future__ import annotations
@@ -98,25 +99,123 @@ def _staircase(domain: GridDomain, u_values: np.ndarray,
     return out
 
 
-def _gradient_operator(domain: GridDomain):
-    """The stacked gradient on `domain` as a scipy CSR matrix, one block of
-    rows per axis."""
-    from scipy import sparse
+def _strided(a: np.ndarray, offset: int, shape: tuple[int, ...],
+             strides: tuple[int, ...]) -> np.ndarray:
+    """A view of the contiguous float64 array `a` from entry `offset`, with
+    strides in bytes."""
+    return np.ndarray(shape, np.float64, a, 8 * offset, strides)
 
-    m = domain.m
-    blocks = []
-    for axis in range(m):
-        mats = []
-        for k in range(m):
-            if k == axis:
-                mats.append(sparse.csr_matrix(derivative_matrix(domain, axis)))
+
+class _StackedGradient:
+    """The least-squares system [G_0; ...; G_{m-1}; e_base^T] on `domain`,
+    matrix-free: G_k applies `grids.derivative_matrix`'s stencil along axis
+    k, and the gauge row reads u at the node `base`.
+
+    `matvec` and `rmatvec` return the bits of scipy's CSR products of that
+    stacked matrix. A CSR product starts each sum at +0.0 and adds
+    data * x[col] in stored (ascending) order: a row of G_k adds its columns
+    in ascending order, and a column of the transpose adds its rows in
+    ascending stacked order, axis blocks in turn and the gauge row last.
+    With q = c * x, an interior row is q[i+1] - q[i-1], because (-c) * x is
+    -(c * x) exactly; a column adds row 0's term, then q[j-1], then subtracts
+    q[j+1], then adds row n-1's term.
+
+    The interior terms are whole-array operations on the flat arrays, where
+    neighbours along an axis sit `step` entries apart (the product of the
+    later counts). They also reach the boundary layers: the forward product
+    then overwrites those rows, and the adjoint zeroes q on them. Adding a
+    zero changes a sum at most in the sign of a zero; so does leaving out the
+    leading +0.0, and a CSR sum is never -0.0, so one final `+= 0.0` gives
+    the same bits. The boundary terms are computed in contiguous scratch and
+    copied to and from their layers, because arithmetic on strided layers
+    is slow where `step` is small. Each product writes into `out` and
+    allocates no array of nodes.
+    """
+
+    def __init__(self, domain: GridDomain, base: tuple[int, ...]):
+        nodes = domain.node_count
+        self.shape = (domain.m * nodes + 1, nodes)
+        self._base = int(np.ravel_multi_index(base, domain.counts))
+        self._q = np.empty(nodes)
+        self._axes = []
+        for axis, n in enumerate(domain.counts):
+            pre = math.prod(domain.counts[:axis])
+            step = math.prod(domain.counts[axis + 1:])
+            mat = derivative_matrix(domain, axis)
+            qv = self._q.reshape(pre, n, step)
+            # byte strides of (row 0, row n-1) and of (rows 0..2, rows
+            # n-3..n-1) as arrays over (.., pre, step)
+            rows = (8 * (n - 1) * step, 8 * n * step, 8)
+            slabs = (8 * (n - 3) * step, 8 * step, 8 * n * step, 8)
+            self._axes.append(dict(
+                shape=(pre, n, step), c=mat[1, 2], rows=rows, slabs=slabs,
+                # row 0's coefficients on columns 0..2, row n-1's on n-3..n-1
+                coefs=np.stack([mat[0, :3], mat[-1, -3:]]).reshape(2, 3, 1, 1),
+                q_rows=_strided(self._q, 0, (2, pre, step), rows),
+                q_first=qv[:, 1:4].transpose(1, 0, 2), q_last=qv[:, -2],
+                terms=np.empty((2, 3, pre, step)), pair=np.empty((2, pre, step)),
+                layers=np.empty((3, pre, step))))
+
+    def matvec(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = [G; e_base^T] x, for contiguous x and out."""
+        nodes = self.shape[1]
+        q, q_coef = self._q, None
+        for axis, ax in enumerate(self._axes):
+            step = ax["shape"][2]
+            terms, pair = ax["terms"], ax["pair"]
+            if ax["c"] != q_coef:  # c * x is the same flat array on every axis
+                np.multiply(x, ax["c"], out=q)
+                q_coef = ax["c"]
+            block = out[axis * nodes:(axis + 1) * nodes]
+            np.subtract(q[2 * step:], q[:-2 * step], out=block[step:-step])
+            # rows 0 and n-1: three terms each, in column order
+            terms[...] = _strided(x, 0, terms.shape, ax["slabs"])
+            terms *= ax["coefs"]
+            np.add(terms[:, 0], terms[:, 1], out=pair)
+            pair += terms[:, 2]
+            _strided(out, axis * nodes, pair.shape, ax["rows"])[...] = pair
+        out[-1] = x[self._base]
+        out += 0.0
+        return out
+
+    def rmatvec(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = [G; e_base^T]^T y, for contiguous y and out."""
+        nodes = self.shape[1]
+        q = self._q
+        for axis, ax in enumerate(self._axes):
+            pre, n, step = ax["shape"]
+            terms, pair, layers = ax["terms"], ax["pair"], ax["layers"]
+            ov = out.reshape(pre, n, step)
+            first = ov[:, :3].transpose(1, 0, 2)
+            last = ov[:, -3:].transpose(1, 0, 2)
+            np.multiply(y[axis * nodes:(axis + 1) * nodes], ax["c"], out=q)
+            ax["q_rows"][...] = 0.0
+            # terms[0, j] is row 0's term on column j, terms[1, j] row n-1's
+            # on column n-3+j
+            pair[...] = _strided(y, axis * nodes, pair.shape, ax["rows"])
+            np.multiply(ax["coefs"], pair[:, None], out=terms)
+            if axis == 0:
+                # the first block writes q[j-1] - q[j+1]; columns 0..2 are
+                # rewritten from row 0's term on, and the last layer has no
+                # q[j+1]
+                np.subtract(q[:-2 * step], q[2 * step:], out=out[step:-step])
+                layers[...] = ax["q_first"]
+                terms[0, 2] += layers[0]
+                terms[0] -= layers
+                first[...] = terms[0]
+                ov[:, -1] = ax["q_last"]
             else:
-                mats.append(sparse.identity(domain.counts[k], format="csr"))
-        op = mats[0]
-        for mat in mats[1:]:
-            op = sparse.kron(op, mat, format="csr")
-        blocks.append(op)
-    return sparse.vstack(blocks, format="csr")
+                layers[...] = first
+                layers += terms[0]
+                first[...] = layers
+                out[step:] += q[:-step]
+                out[:-step] -= q[step:]
+            layers[...] = last
+            layers += terms[1]
+            last[...] = layers
+        out[self._base] += y[-1]
+        out += 0.0
+        return out
 
 
 def _sym_ortho(a, b):
@@ -138,20 +237,20 @@ def _sym_ortho(a, b):
     return c, s, r
 
 
-def _lsqr(system, transpose, b: np.ndarray, atol: float, btol: float,
+def _lsqr(op, b: np.ndarray, atol: float, btol: float,
           iter_lim: int) -> tuple[np.ndarray, int, int]:
-    """min ||system @ x - b|| by LSQR (Paige & Saunders, ACM TOMS 8, 1982);
-    returns (x, istop, itn).
+    """min ||A x - b|| by LSQR (Paige & Saunders, ACM TOMS 8, 1982), where
+    `op.matvec(x, out)` and `op.rmatvec(y, out)` write A x and A^T y into
+    `out` and return it, and `op.shape` is A's; returns (x, istop, itn).
 
     A transcription of scipy's BSD-licensed `scipy.sparse.linalg.lsqr` for
     damp=0, x0=None, conlim=1e8, without calc_var or show: the same scalar
     recurrences, the same stopping tests in the same order and the same
     `np.linalg.norm` calls, so the same bits, istop and itn. With damp=0,
     scipy's dampsq, psi and res2 terms are exact zeros and are left out. The
-    vectors are updated in place; `transpose` is system.T, for the adjoint
-    products.
+    vectors are updated in place, and the products go into two buffers.
     """
-    n = system.shape[1]
+    n = op.shape[1]
     eps = np.finfo(np.float64).eps
     ctol = 1 / 1e8  # 1/conlim
     itn = istop = anorm = ddnorm = xxnorm = z = sn2 = 0
@@ -161,9 +260,10 @@ def _lsqr(system, transpose, b: np.ndarray, atol: float, btol: float,
     bnorm = np.linalg.norm(b)
     beta = bnorm.copy()
     x = np.zeros(n)
+    av, atu = np.empty(op.shape[0]), np.empty(n)
     if beta > 0:
         u = (1 / beta) * b
-        v = transpose @ u
+        v = op.rmatvec(u, np.empty(n))
         alfa = np.linalg.norm(v)
     else:  # b = 0 (or NaN)
         u, v, alfa = b.copy(), x.copy(), 0
@@ -180,13 +280,13 @@ def _lsqr(system, transpose, b: np.ndarray, atol: float, btol: float,
         # the next step of the bidiagonalization:
         # beta*u = A v - alfa*u, alfa*v = A'u - beta*v
         np.multiply(u, alfa, out=u)
-        np.subtract(system @ v, u, out=u)
+        np.subtract(op.matvec(v, av), u, out=u)
         beta = np.linalg.norm(u)
         if beta > 0:
             np.multiply(u, 1 / beta, out=u)
             anorm = math.sqrt(anorm**2 + alfa**2 + beta**2)
             np.multiply(v, beta, out=v)
-            np.subtract(transpose @ u, v, out=v)
+            np.subtract(op.rmatvec(u, atu), v, out=v)
             alfa = np.linalg.norm(v)
             if alfa > 0:
                 np.multiply(v, 1 / alfa, out=v)
@@ -300,26 +400,15 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
         discrepancy = float(np.max(np.abs(forward - backward)))
         potential = forward
     else:
-        # scipy is imported here, so no other command pays for loading it
-        from scipy import sparse
-
-        rhs = u.values.reshape(domain.m, -1).ravel()
-        gauge = sparse.csr_matrix(
-            (np.ones(1), ([0], [int(np.ravel_multi_index(base, domain.counts))])),
-            shape=(1, domain.node_count))
-        system = sparse.vstack([_gradient_operator(domain), gauge], format="csr")
-        # the adjoint products go through an explicit CSR transpose: the same
-        # sums in the same (ascending row) order as scipy's own transposed
-        # product, so the same bits, but faster
-        transpose = system.T.tocsr()
-        target = np.concatenate([rhs, [0.0]])
-        solution = _lsqr(system, transpose, target, atol=1e-14, btol=1e-14,
+        system = _StackedGradient(domain, base)
+        target = np.concatenate([u.values.ravel(), [0.0]])
+        solution = _lsqr(system, target, atol=1e-14, btol=1e-14,
                          iter_lim=10 * domain.node_count)[0]
         potential = solution.reshape(domain.counts)
         potential = potential - potential[base]
         # the gradient is the system's rows above the gauge row, each summed
-        # as the gradient operator's own row
-        fit = (system @ potential.ravel())[:rhs.size].reshape(domain.m, *domain.counts)
+        # as the least-squares fit sums it, into `target`, which LSQR copied
+        fit = system.matvec(potential.ravel(), target)[:-1].reshape(u.values.shape)
         discrepancy = float(np.max(np.abs(fit - u.values)))
 
     return PotentialResult(field=ScalarField(domain, potential),

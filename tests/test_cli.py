@@ -196,23 +196,24 @@ def run_fresh_python(code: str) -> str:
                           capture_output=True, text=True).stdout
 
 
-class TestDeferredScipy:
+class TestNoScipy:
+    """No `parea` command loads a scipy module."""
+
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, parea.cli; "
                 "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
         assert run_fresh_python(code).strip() == "[]"
 
-    def test_least_squares_loads_scipy_on_first_use(self, tmp_path):
-        # scipy.sparse, for the CSR operator; LSQR itself is parea's own
+    def test_least_squares_loads_no_scipy(self, tmp_path):
+        # the gradient operator and LSQR are parea's own, numpy only
         argv = ["reconstruct", "--scenario", "smooth_roundtrip", "--resolution", "9",
                 "--method", "least-squares", "--out"]
         fresh, here = tmp_path / "fresh", tmp_path / "here"
         code = ("import contextlib, io, sys, parea.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    code = parea.cli.main({argv + [str(fresh)]!r})\n"
-                "print(code, 'scipy.sparse' in sys.modules, "
-                "'scipy.sparse.linalg' in sys.modules)")
-        assert run_fresh_python(code).split() == ["0", "True", "False"]
+                "print(code, sorted(k for k in sys.modules if k.startswith('scipy')))")
+        assert run_fresh_python(code).strip() == "0 []"
         assert run_cli(*argv, str(here)) == 0
         assert (fresh / "potential.csv").read_bytes() == (here / "potential.csv").read_bytes()
 

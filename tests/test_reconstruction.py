@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parea.grids import (
+    GridDomain,
     ScalarField,
     VectorField,
     build_domain,
+    derivative_matrix,
     gradient,
     sample,
     sample_vector,
@@ -12,8 +18,8 @@ from parea.grids import (
 from parea.horizontal import horizontal_normal, weight
 from parea.reconstruction import (
     NotClosedError,
-    _gradient_operator,
     _lsqr,
+    _StackedGradient,
     candidate_gradient,
     closedness_residual,
     integrate_potential,
@@ -182,18 +188,32 @@ class TestIntegratePotential:
         assert lsq.path_discrepancy <= 1e-8
 
 
-def _stacked_system(u: VectorField, base: tuple[int, ...]):
-    """The least-squares system: the stacked gradient plus a gauge row at
-    `base`, and its right-hand side."""
+def _csr_system(domain: GridDomain, base: tuple[int, ...]):
+    """The least-squares system as a scipy CSR matrix, the oracle for
+    `_StackedGradient`: one Kronecker product of the per-axis stencil with
+    identities per axis, stacked, plus the gauge row at `base`."""
     from scipy import sparse
 
-    domain = u.domain
+    blocks = []
+    for axis in range(domain.m):
+        mats = [sparse.csr_matrix(derivative_matrix(domain, axis)) if k == axis
+                else sparse.identity(n, format="csr")
+                for k, n in enumerate(domain.counts)]
+        op = mats[0]
+        for mat in mats[1:]:
+            op = sparse.kron(op, mat, format="csr")
+        blocks.append(op)
     gauge = sparse.csr_matrix(
         (np.ones(1), ([0], [int(np.ravel_multi_index(base, domain.counts))])),
         shape=(1, domain.node_count))
-    system = sparse.vstack([_gradient_operator(domain), gauge], format="csr")
+    return sparse.vstack(blocks + [gauge], format="csr")
+
+
+def _stacked_system(u: VectorField, base: tuple[int, ...]):
+    """The least-squares system as a CSR matrix, and its right-hand side."""
+    domain = u.domain
     target = np.concatenate([u.values.reshape(domain.m, -1).ravel(), [0.0]])
-    return system, target
+    return _csr_system(domain, base), target
 
 
 def _old_lsqr_potential(u: VectorField) -> np.ndarray:
@@ -238,19 +258,36 @@ def _smooth_gradient(m: int, n: int) -> VectorField:
                            + x[0] * x[-1] ** 2))
 
 
+class _CsrProducts:
+    """A CSR system in `_lsqr`'s operator interface: its products, and
+    those of its explicit CSR transpose, copied into the buffers."""
+
+    def __init__(self, system):
+        self.shape = system.shape
+        self._system, self._transpose = system, system.T.tocsr()
+
+    def matvec(self, x, out):
+        out[...] = self._system @ x
+        return out
+
+    def rmatvec(self, y, out):
+        out[...] = self._transpose @ y
+        return out
+
+
 class TestLsqrTranscription:
     """parea's in-place LSQR against scipy's on the same CSR system: the same
     bits of x, the same stopping reason and the same iteration count."""
 
     @staticmethod
-    def _compare(u: VectorField, base=None, iter_lim=None):
+    def _compare(u: VectorField, base=None, iter_lim=None, matrix_free=False):
         from scipy.sparse import linalg as sparse_linalg
 
         base = base or (0,) * u.domain.m
         iter_lim = iter_lim or 10 * u.domain.node_count
         system, target = _stacked_system(u, base)
-        x, istop, itn = _lsqr(system, system.T.tocsr(), target, atol=1e-14,
-                              btol=1e-14, iter_lim=iter_lim)
+        op = _StackedGradient(u.domain, base) if matrix_free else _CsrProducts(system)
+        x, istop, itn = _lsqr(op, target, atol=1e-14, btol=1e-14, iter_lim=iter_lim)
         ref = sparse_linalg.lsqr(system, target, atol=1e-14, btol=1e-14,
                                  iter_lim=iter_lim)
         assert np.array_equal(x.view(np.uint64), ref[0].view(np.uint64))
@@ -278,6 +315,81 @@ class TestLsqrTranscription:
     def test_zero_right_hand_side(self):
         d = build_domain(3, [0, 0, 0], [1, 1, 1], [5, 5, 5])
         assert self._compare(VectorField(d, np.zeros((3,) + d.counts))) == (0, 0)
+
+    @pytest.mark.parametrize("counts, base", [((17, 6), (4, 5)),
+                                              ((7, 5, 9), (6, 0, 3))])
+    def test_matrix_free_operator_end_to_end(self, counts, base):
+        m = len(counts)
+        d = build_domain(m, [0.1] * m, [1.0 + 0.3 * k for k in range(m)], counts)
+        u = gradient(sample(d, lambda *x: np.sin(sum((k + 1) * c for k, c in enumerate(x)))
+                            + x[0] * x[-1] ** 2))
+        istop, itn = self._compare(u, base=base, matrix_free=True)
+        assert istop == 1 and itn > 1
+
+
+# The largest count per axis drawn for each dimension, so that a drawn grid
+# stays below about 16k nodes.
+_MAX_COUNT = {2: 40, 3: 12, 4: 7, 5: 6, 6: 5}
+
+
+@st.composite
+def _operator_cases(draw):
+    """A grid with m = 2..6 and per-axis counts and spacings (some equal,
+    some not), a base node anywhere on it, and how to fill the vectors."""
+    m = draw(st.integers(2, 6))
+    counts = [draw(st.integers(5, _MAX_COUNT[m])) for _ in range(m)]
+    lower = [draw(st.sampled_from([0.0, 0.1, -2.5])) for _ in range(m)]
+    widths = [draw(st.sampled_from([1.0, 0.37, 2.0, 1e-3, 1e3])) for _ in range(m)]
+    domain = build_domain(m, lower, [lo + w for lo, w in zip(lower, widths)], counts)
+    base = tuple(draw(st.integers(0, n - 1)) for n in counts)
+    return domain, base, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+def _planted_vector(rng, size: int, pooled: bool) -> np.ndarray:
+    """Values of magnitude 1e-200..1e200 with a quarter planted +0.0 or -0.0;
+    or, pooled, a few values and both zeros, so that many sums cancel."""
+    if pooled:
+        pool = np.array([1.5, -1.5, 3e-200, -7e150, 0.0, -0.0])
+        return pool[rng.integers(0, pool.size, size)]
+    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-200, 200, size)
+    zeros = rng.random(size) < 0.25
+    values[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return values
+
+
+class TestStackedGradient:
+    """The matrix-free system against its CSR matrix: the same bits, signed
+    zeros included, for the product and for scipy's transposed product."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_operator_cases())
+    def test_products_match_csr_bits(self, case):
+        domain, base, seed, pooled = case
+        rng = np.random.default_rng(seed)
+        op, system = _StackedGradient(domain, base), _csr_system(domain, base)
+        assert op.shape == system.shape
+        x = _planted_vector(rng, op.shape[1], pooled)
+        y = _planted_vector(rng, op.shape[0], pooled)
+        # every entry of `out` is written, whatever it held before
+        got = op.matvec(x, np.full(op.shape[0], np.nan))
+        assert np.array_equal(got.view(np.uint64), (system @ x).view(np.uint64))
+        got = op.rmatvec(y, np.full(op.shape[1], np.nan))
+        assert np.array_equal(got.view(np.uint64), (system.T @ y).view(np.uint64))
+
+    def test_products_allocate_no_node_array(self):
+        # numpy's own iteration buffers stay far below one array of nodes
+        d = build_domain(2, [0, 0], [1, 2], [257, 129])
+        op = _StackedGradient(d, (3, 4))
+        x, y = np.ones(op.shape[1]), np.ones(op.shape[0])
+        av, atu = np.empty(op.shape[0]), np.empty(op.shape[1])
+        tracemalloc.start()
+        try:
+            op.matvec(x, av)
+            op.rmatvec(y, atu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d.node_count // 4
 
 
 class TestVerifyNormal:
