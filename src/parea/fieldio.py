@@ -19,13 +19,15 @@ last line of a block shorter when the node count is not a multiple of 8.
 Values are written with 17 significant digits so a write/read round trip is
 lossless for IEEE doubles.
 
-Writers format each distinct value once: every block (or CSV column) is
-reduced to its distinct float64 bit patterns, which are formatted with
-`format_real`'s template in one `%` call, and the strings are scattered back
-through the inverse index. Bit patterns rather than values keep `-0.0`
-("-0") apart from `0.0`. Lines are formatted and written `_CHUNK_LINES` at
-a time, so the text of a whole file is never held in memory. The bytes
-written are the same as formatting every value in turn.
+Writers format each distinct value once: every block, or CSV value column,
+is reduced to its distinct float64 bit patterns (which keep `-0.0`, "-0",
+apart from `0.0`), formatted with `format_real`'s template in one `%` call;
+a CSV coordinate column is its axis's nodes, indexed by node position. Each
+string ends with the separator that follows it (a CSV comma or row's
+newline; a block's space, or a newline variant where a value ends a line),
+so `_CHUNK_LINES` lines are written at a time as one `join` of strings
+gathered through the index. The bytes are those of formatting every value
+in turn, and the text of a whole file is never held in memory.
 
 The reader streams the file: it decodes `_READ_CHUNK` bytes at a time as
 ASCII with universal newlines, parses the header, then splits each chunk
@@ -86,33 +88,28 @@ def format_real(x) -> str:
     return _REAL_FORMAT % float(x)
 
 
-def _format_columns(columns) -> tuple[np.ndarray, np.ndarray]:
-    """Strings for equally sized arrays, each formatted once per distinct
-    float64 bit pattern of its array: returns `(strings, index)` with
-    `strings[index[n, k]]` the text of the n-th value (flat C order) of
-    `columns[k]`. The index is allocated once, at the first column."""
-    tables, index, offset = [], None, 0
-    for k, col in enumerate(columns):
-        flat = np.ravel(col).astype(np.float64, copy=False)
-        bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-        del flat
-        values = tuple(bits.view(np.float64).tolist())
-        text = (_REAL_FORMAT + "\n") * len(values) % values
-        tables.append(np.array(text.split("\n")[:-1], dtype=object))
-        if index is None:
-            index = np.empty((inverse.size, len(columns)), dtype=inverse.dtype)
-        np.add(inverse, offset, out=index[:, k])
-        del inverse  # before the next column is sorted
-        offset += bits.size
-    return np.concatenate(tables), index
+def _strings(values: np.ndarray, end: str) -> np.ndarray:
+    """`format_real` of each of `values` followed by `end`, in one `%` call:
+    a line a value, split with `end` kept when it is the line break."""
+    template = _REAL_FORMAT + end if end == "\n" else _REAL_FORMAT + end + "\n"
+    text = template * len(values) % tuple(values.tolist())
+    return np.array(text.splitlines(end == "\n"), dtype=object)
 
 
-def _write_rows(out, strings: np.ndarray, index: np.ndarray, sep: str) -> None:
-    """Write one line per row of `index`, its cells' strings joined by `sep`."""
-    template = sep.join(["%s"] * index.shape[1]) + "\n"
-    for start in range(0, index.shape[0], _CHUNK_LINES):
-        cells = strings[index[start:start + _CHUNK_LINES]]
-        out.write(template * cells.shape[0] % tuple(cells.ravel().tolist()))
+def _distinct_strings(values, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """`(strings, inverse)`, `strings[inverse[n]]` the n-th value (flat C order)
+    followed by `end`; each distinct float64 bit pattern is formatted once."""
+    flat = np.ravel(values).astype(np.float64, copy=False)
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    return _strings(bits.view(np.float64), end), inverse
+
+
+def _write_lines(out, strings: np.ndarray, index: np.ndarray, per_line: int) -> None:
+    """Write `strings[index]` in order, `_CHUNK_LINES` lines of `per_line`
+    strings at a time; each string carries the separator that follows it."""
+    step = _CHUNK_LINES * per_line
+    for start in range(0, index.size, step):
+        out.write("".join(strings[index[start:start + step]].tolist()))
 
 
 # The field class each `kind=` tag names.
@@ -142,11 +139,15 @@ def write_field(field, destination) -> None:
     with open(destination, "w", encoding="ascii") as out:
         out.write("\n".join(header) + "\n")
         for block in field.blocks:
-            strings, index = _format_columns([block])
-            full = index.shape[0] - index.shape[0] % _VALUES_PER_LINE
-            _write_rows(out, strings, index[:full].reshape(-1, _VALUES_PER_LINE), " ")
-            if full < index.shape[0]:
-                _write_rows(out, strings, index[full:].reshape(1, -1), " ")
+            strings, index = _distinct_strings(block, " ")
+            # every 8th value and the block's last end a line: they point at
+            # "\n" variants, made only for the distinct values they hold
+            ends = np.r_[_VALUES_PER_LINE - 1:index.size:_VALUES_PER_LINE, index.size - 1]
+            variants, which = np.unique(index[ends], return_inverse=True)
+            index[ends] = which + len(strings)
+            newline = "".join(strings[variants].tolist()).replace(" ", "\n").splitlines(True)
+            strings = np.concatenate([strings, np.array(newline, dtype=object)])
+            _write_lines(out, strings, index, _VALUES_PER_LINE)
 
 
 def _header_value(line: str, key: str) -> str:
@@ -310,10 +311,24 @@ def write_csv(field, destination) -> None:
     """One row per node: coordinates then value(s), flat C node order."""
     domain: GridDomain = field.domain
     header = ",".join([f"x{k + 1}" for k in range(domain.m)] + field.column_names)
-    # coordinate columns as broadcast views: no mesh is materialised whole
-    axes = [domain.axis_nodes(k) for k in range(domain.m)]
-    strings, index = _format_columns(
-        [*np.meshgrid(*axes, indexing="ij", copy=False), *field.blocks])
+    columns = domain.m + len(field.blocks)
+    ends = [","] * (columns - 1) + ["\n"]
+    index = np.empty(domain.counts + (columns,), dtype=np.intp)
+    tables, offset = [], 0
+    for k in range(domain.m):
+        # a coordinate's distinct values are its axis's nodes, indexed by
+        # each node's position on that axis: no sort
+        tables.append(_strings(domain.axis_nodes(k), ends[k]))
+        index[..., k] = np.arange(offset, offset + domain.counts[k]).reshape(
+            (-1,) + (1,) * (domain.m - 1 - k))
+        offset += domain.counts[k]
+    for k, block in enumerate(field.blocks, domain.m):
+        strings, inverse = _distinct_strings(block, ends[k])
+        tables.append(strings)
+        np.add(inverse.reshape(domain.counts), offset, out=index[..., k])
+        del inverse  # before the next column is sorted
+        offset += strings.size
+    strings = np.concatenate(tables)
     with open(destination, "w", encoding="ascii") as out:
         out.write(header + "\n")
-        _write_rows(out, strings, index, ",")
+        _write_lines(out, strings, index.reshape(-1), columns)

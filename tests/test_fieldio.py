@@ -17,7 +17,7 @@ from parea import fieldio
 from parea.cli import main
 from parea.fieldio import (
     FieldFormatError,
-    _format_columns,
+    _distinct_strings,
     _split_header,
     format_real,
     read_field,
@@ -189,7 +189,7 @@ def test_csv_vector_headers(tmp_path, domain):
 def test_csv_write_peak_memory(tmp_path):
     """`write_csv` holds one (nodes, columns) index and builds no coordinate
     mesh whole. At 257^2, a seeded random vector field (a distinct value at
-    every node) peaks at 32.7 node arrays; stacking a list of per-column
+    every node) peaks at 29.0 node arrays; stacking a list of per-column
     indices and building both meshes took it to 39.7."""
     d = build_domain(2, [0.1, 0.1], [1.3, 1.3], [257, 257])
     field = VectorField(d, np.random.default_rng(0).standard_normal((2,) + d.counts))
@@ -310,20 +310,65 @@ def test_writers_match_value_by_value_layout(tmp_path, field):
                           _field_blocks(field)[1].view(np.uint64))
 
 
+def _chunk_edge_fields():
+    """Fields whose writes cross chunk edges: a 183^2 scalar field is 4,187
+    lines a block, past one 4,096-line chunk, its last line holding 1 value;
+    half of its values come from a pool with both zeros, so line ends
+    repeat."""
+    d = build_domain(2, [0.1, -1.0], [1.3, 1.0], [183, 183])
+    rng = np.random.default_rng(5)
+    pool = np.array([0.0, -0.0, 0.1, -2.5])
+    values = np.where(rng.random(d.counts) < 0.5, rng.standard_normal(d.counts),
+                      pool[rng.integers(0, pool.size, d.counts)])
+    d3 = _domain_of_dimension(3)
+    return [ScalarField(d, values),
+            sample_vector(d3, [lambda *x, k=k: x[k] - x[2 - k] for k in range(3)]),
+            SkewField(d3, np.random.default_rng(6).standard_normal((3,) + d3.counts))]
+
+
+def test_writers_match_value_by_value_layout_across_chunk_edges(tmp_path, monkeypatch):
+    fields = _chunk_edge_fields()
+    for chunk in (1, 3, fieldio._CHUNK_LINES):
+        monkeypatch.setattr(fieldio, "_CHUNK_LINES", chunk)
+        for field in fields:
+            write_field(field, tmp_path / "f.pfld")
+            assert (tmp_path / "f.pfld").read_bytes() == _reference_pfld(field)
+            write_csv(field, tmp_path / "f.csv")
+            assert (tmp_path / "f.csv").read_bytes() == _reference_csv(field)
+
+
+def test_pfld_write_peak_memory(tmp_path):
+    """A block's strings end with a space; only the values that end a line
+    get a newline variant. At 257^2, a seeded random scalar field (a distinct
+    value at every node) peaks at 15.4 node arrays; a newline variant of
+    every value took it to 24.0."""
+    d = build_domain(2, [0.1, 0.1], [1.3, 1.3], [257, 257])
+    field = ScalarField(d, np.random.default_rng(0).standard_normal(d.counts))
+    tracemalloc.start()
+    try:
+        write_field(field, tmp_path / "f.pfld")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 8 * d.node_count
+
+
 def test_batched_formatting_matches_format_real():
-    """One `%` template over a column's distinct values gives the strings of
-    `format_real`, and of `format(x, ".17g")`, value by value."""
+    """One `%` template over an array's distinct values gives the strings of
+    `format_real`, and of `format(x, ".17g")`, value by value, each followed
+    by the separator it was asked for."""
     edges = _SPECIAL_REALS + [-sys.float_info.min, 1e16, 1e17, -1e17, 1 / 3,
                               2.0 ** 53 + 2, 123456789.0, 1e-300, 1e300]
     rng = np.random.default_rng(11)
     bits = rng.integers(0, 2 ** 64, 4000, dtype=np.uint64, endpoint=False)
     random = bits.view(np.float64)
     column = np.concatenate([edges, random[np.isfinite(random)]])
-    strings, index = _format_columns([column, column[::-1]])
-    for k, col in enumerate([column, column[::-1]]):
-        got = strings[index[:, k]].tolist()
-        assert got == [format_real(x) for x in col]
-        assert got == [_reference_fmt(x) for x in col]
+    for col in (column, column[::-1]):
+        for end in (" ", ",", "\n"):
+            strings, inverse = _distinct_strings(col, end)
+            got = strings[inverse].tolist()
+            assert got == [format_real(x) + end for x in col]
+            assert got == [_reference_fmt(x) + end for x in col]
 
 
 _GOLDEN = Path(__file__).parent / "data" / "fieldio_golden_sha256.json"
