@@ -19,7 +19,6 @@ from .grids import (
     Alternating3Field,
     GridDomain,
     ScalarField,
-    SingularMask,
     SkewField,
     VectorField,
     build_domain,
@@ -50,7 +49,6 @@ from .skewalg import (
     spectral_pairs,
 )
 from .integrability import (
-    ClassificationField,
     IntegrabilityLabel,
     classify_integrability,
     codazzi_residual_2d,

@@ -30,10 +30,10 @@ MAX_DIMENSION = 6
 MIN_COUNT = 5
 
 
-def _frozen_array(values, dtype=float, copy: bool = True) -> np.ndarray:
-    """`values` as a read-only C-ordered array: a copy, or with `copy=False`
-    the array itself wherever its dtype and order allow."""
-    arr = (np.array if copy else np.asarray)(values, dtype=dtype, order="C")
+def _frozen_array(values, copy: bool = True) -> np.ndarray:
+    """`values` as a read-only C-ordered float array: a copy, or with
+    `copy=False` the array itself wherever its dtype and order allow."""
+    arr = (np.array if copy else np.asarray)(values, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -160,9 +160,9 @@ class _Field:
     sorting permutation, or zero at a repeated index, so antisymmetry holds
     by construction.
 
-    A subclass declares its `order`, its `.pfld` kind tag (None: it has no
-    `.pfld` form) and its CSV column template, which each 1-based index
-    tuple fills; `fieldio` reads the whole layout from these.
+    A subclass declares its `order`, its `.pfld` kind tag and its CSV column
+    template, which each 1-based index tuple fills; `fieldio` reads the
+    whole layout from these.
 
     The constructor copies `values`, so a caller's array never aliases a
     field. parea's own producers, which hand over an array they have just
@@ -170,19 +170,18 @@ class _Field:
     same checks, without the copy."""
 
     order = 0
-    kind: str | None = None
+    kind: str
     column: str
-    dtype: type = float
 
     def __init__(self, domain: GridDomain, values):
-        self._set(domain, _frozen_array(values, self.dtype))
+        self._set(domain, _frozen_array(values))
 
     @classmethod
     def _adopt(cls, domain: GridDomain, values: np.ndarray):
         """A field that takes over `values`, a fresh array nothing else
         writes to, marking it read-only instead of copying it."""
         field = cls.__new__(cls)
-        field._set(domain, _frozen_array(values, cls.dtype, copy=False))
+        field._set(domain, _frozen_array(values, copy=False))
         return field
 
     def _set(self, domain: GridDomain, arr: np.ndarray) -> None:
@@ -251,15 +250,7 @@ class VectorField(_Field):
         return ScalarField(self.domain, np.sqrt(np.sum(self.values ** 2, axis=0)))
 
 
-class _AlternatingField(_Field):
-    """Fields of order 2 and up, whose stored blocks are called `entries`."""
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.values
-
-
-class SkewField(_AlternatingField):
+class SkewField(_Field):
     """Per-node skew-symmetric m x m matrix, stored as upper-triangle entries
     on pair_indices(m)."""
 
@@ -267,37 +258,16 @@ class SkewField(_AlternatingField):
 
     def dense(self) -> np.ndarray:
         """Dense per-node matrices, shape (m, m, *counts)."""
-        return dense_skew(self.entries, self.domain.m)
+        return dense_skew(self.values, self.domain.m)
 
 
-class Alternating3Field(_AlternatingField):
+class Alternating3Field(_Field):
     """Per-node fully antisymmetric 3-tensor, stored on triple_indices(m).
 
     Empty for m < 3 (there are no strictly increasing triples).
     """
 
     order, kind, column = 3, "alt3", "t_{}_{}_{}"
-
-
-class SingularMask(_Field):
-    """Boolean flag per node marking where a defining magnitude is below
-    threshold * field_scale."""
-
-    column, dtype = "flag", bool
-
-    @property
-    def flags(self) -> np.ndarray:
-        return self.values
-
-    @property
-    def fraction(self) -> float:
-        return float(self.flags.mean())
-
-    def any(self) -> bool:
-        return bool(self.flags.any())
-
-    def __repr__(self):
-        return f"SingularMask(fraction={self.fraction:.3g})"
 
 
 def field_scale(field) -> float:

@@ -20,7 +20,6 @@ import numpy as np
 from .grids import (
     GridDomain,
     ScalarField,
-    SingularMask,
     SkewField,
     VectorField,
     axis_derivative,
@@ -57,16 +56,15 @@ def _singular_flags(d: np.ndarray, tau: float) -> np.ndarray:
 
 def horizontal_normal(w: ScalarField, f: VectorField,
                       tau: float = DEFAULT_SINGULAR_TOL
-                      ) -> tuple[VectorField, SingularMask, ScalarField]:
+                      ) -> tuple[VectorField, np.ndarray, ScalarField]:
     """Unit field (grad(w) + F)/|grad(w) + F|, zero on the singular mask
     D < tau * field_scale(D), and the weight D, all from one `_horizontal`
-    call."""
+    call. The mask is a read-only bool array of shape `counts`."""
     domain, hat, d = _horizontal(w, f)
-    flags = _singular_flags(d, tau)
-    safe = np.where(flags, 1.0, d)
-    nu = np.where(flags, 0.0, hat / safe)
-    return (VectorField._adopt(domain, nu), SingularMask._adopt(domain, flags),
-            ScalarField._adopt(domain, d))
+    mask = _singular_flags(d, tau)
+    mask.setflags(write=False)
+    nu = np.where(mask, 0.0, hat / np.where(mask, 1.0, d))
+    return VectorField._adopt(domain, nu), mask, ScalarField._adopt(domain, d)
 
 
 def curl_matrix(f: VectorField) -> SkewField:
@@ -124,7 +122,7 @@ def structure_identity_residual(u: ScalarField, f: VectorField,
     """
     nu, mask, d = horizontal_normal(u, f, tau)
     return _curl_identity_residual(nu.domain, nu.values, d.values,
-                                   curl_matrix(f).entries, mask.flags)
+                                   curl_matrix(f).values, mask)
 
 
 @dataclass(frozen=True)
@@ -134,17 +132,16 @@ class SingularStats:
     ball_radius: int
 
 
-def singular_stats(mask: SingularMask) -> SingularStats:
+def singular_stats(mask: np.ndarray) -> SingularStats:
     """Fraction of flagged nodes and the largest radius r such that some full
     Chebyshev ball of radius r (entirely inside the grid) is all flagged.
 
     A box of side 2r + 1 is r repeated 3-point erosions, nodes outside the
     grid counted as unflagged, so the search erodes once per radius until
     nothing is left."""
-    flags = mask.flags
     radius = 0
-    eroded = flags.copy()
-    for r in range(1, min((n - 1) // 2 for n in mask.domain.counts) + 1):
+    eroded = mask.copy()
+    for r in range(1, min((n - 1) // 2 for n in mask.shape) + 1):
         for axis in range(eroded.ndim):
             a = np.moveaxis(eroded, axis, 0)  # a view: the AND writes into eroded
             a[1:-1] &= a[:-2] & a[2:]
@@ -152,4 +149,4 @@ def singular_stats(mask: SingularMask) -> SingularStats:
         if not eroded.any():
             break
         radius = r
-    return SingularStats(fraction=int(flags.sum()) / flags.size, ball_radius=radius)
+    return SingularStats(fraction=float(mask.mean()), ball_radius=radius)

@@ -21,7 +21,6 @@ sign and a discrete product-rule term.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -30,7 +29,6 @@ from .grids import (
     Alternating3Field,
     GridDomain,
     ScalarField,
-    SingularMask,
     SkewField,
     VectorField,
     divergence,
@@ -74,26 +72,26 @@ def frobenius_tensor(nu: VectorField, f: VectorField) -> Alternating3Field:
     domain = require_same_domain(nu, f)
     entries = np.empty((len(triple_indices(domain.m)),) + domain.counts)
     # the exhausted block generator frees the curl; the field adopts the entries
-    for t, block in enumerate(_frobenius_blocks(nu.values, curl_matrix(f).entries)):
+    for t, block in enumerate(_frobenius_blocks(nu.values, curl_matrix(f).values)):
         entries[t] = block
     return Alternating3Field._adopt(domain, entries)
 
 
-def integrability_labels(mask: SingularMask, blocks: Iterable[np.ndarray],
+def integrability_labels(mask: np.ndarray, blocks: Iterable[np.ndarray],
                          eta: float) -> np.ndarray:
-    """Per-node labels from the singular mask and the Frobenius tensor's
+    """Per-node int8 labels from the singular mask and the Frobenius tensor's
     blocks, one node array per triple: off the mask a node is integrable iff
     its max |T| is below eta * field_scale(T). The max is taken one block at
     a time, so blocks streamed from `_frobenius_blocks` never form the whole
     tensor."""
     if not eta > 0:
         raise ValueError("eta must be positive")
-    tmax = np.zeros(mask.domain.counts)  # stays zero for m = 2
+    tmax = np.zeros(mask.shape)  # stays zero for m = 2
     for block in blocks:
         np.maximum(tmax, np.abs(block), out=tmax)
     scale = field_scale(tmax)  # the max-norm of the tensor, read off tmax
     return np.where(
-        mask.flags,
+        mask,
         int(IntegrabilityLabel.SINGULAR),
         np.where(tmax < eta * scale,
                  int(IntegrabilityLabel.INTEGRABLE),
@@ -101,22 +99,12 @@ def integrability_labels(mask: SingularMask, blocks: Iterable[np.ndarray],
     ).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class ClassificationField:
-    """Per-node integrability labels and the Frobenius tensor they were read
-    from."""
-
-    labels: np.ndarray
-    tensor: Alternating3Field
-
-    def fraction(self, label: IntegrabilityLabel) -> float:
-        return float(np.mean(self.labels == int(label)))
-
-
 def classify_integrability(w: ScalarField, f: VectorField,
                            tau: float = DEFAULT_SINGULAR_TOL,
-                           eta: float = DEFAULT_CLASSIFY_TOL) -> ClassificationField:
-    """Label each node singular / integrable / nonintegrable.
+                           eta: float = DEFAULT_CLASSIFY_TOL
+                           ) -> tuple[np.ndarray, Alternating3Field]:
+    """Label each node singular / integrable / nonintegrable: the int8 labels
+    and the Frobenius tensor they were read from.
 
     Off the mask a node is integrable iff the max tensor entry is below
     eta * field_scale(T). The threshold separates second-order discretization
@@ -127,8 +115,7 @@ def classify_integrability(w: ScalarField, f: VectorField,
         raise ValueError("tau and eta must be positive")
     nu, mask = horizontal_normal(w, f, tau)[:2]  # the weight is freed at once
     tensor = frobenius_tensor(nu, f)
-    return ClassificationField(labels=integrability_labels(mask, tensor.blocks, eta),
-                               tensor=tensor)
+    return integrability_labels(mask, tensor.blocks, eta), tensor
 
 
 def _check_triple(nu: VectorField, d: ScalarField, f: VectorField) -> GridDomain:
@@ -144,7 +131,7 @@ def tangential_curl_residual(nu: VectorField, d: ScalarField,
     delta_i nu_j - delta_j nu_i = (h_ij - nu_j nu_k h_ik - nu_i nu_k h_kj)/D
     for a prescribed triple (nu, D, F) with D > 0 and nu unit."""
     domain = _check_triple(nu, d, f)
-    return _curl_identity_residual(domain, nu.values, d.values, curl_matrix(f).entries,
+    return _curl_identity_residual(domain, nu.values, d.values, curl_matrix(f).values,
                                    None)
 
 
@@ -154,7 +141,7 @@ def _triple_derivatives(nu: VectorField, d: ScalarField, f: VectorField):
     s_k = nu_i h_ki of nu against the curl of F."""
     domain = _check_triple(nu, d, f)
     dd = gradient_values(domain, d.values)
-    dnu, c, s = _normal_derivatives(domain, nu.values, curl_matrix(f).entries)
+    dnu, c, s = _normal_derivatives(domain, nu.values, curl_matrix(f).values)
     return domain, dd, dnu, c, np.einsum("i...,i...->...", nu.values, dd), s
 
 

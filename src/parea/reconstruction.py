@@ -384,7 +384,7 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
     residual = closedness_residual(u)
     scale = field_scale(u)
     bound = tol * scale
-    abs_entries = np.abs(residual.entries)
+    abs_entries = np.abs(residual.values)
     max_abs = float(abs_entries.max())
     if max_abs > bound:
         flat_pos = int(np.argmax(abs_entries))
@@ -432,11 +432,11 @@ def verify_normal(u: ScalarField, nu: VectorField, d: ScalarField,
     never raised."""
     domain = require_same_domain(u, nu, d, f)
     computed_nu, mask, computed_d = horizontal_normal(u, f, tau)
-    off = ~mask.flags
+    off = ~mask
     diff = np.sqrt(np.sum((computed_nu.values - nu.values) ** 2, axis=0))
     normal_err = float(diff[off].max()) if off.any() else 0.0
     wdiff = np.abs(computed_d.values - d.values) / field_scale(d)
     weight_err = float(wdiff[off].max()) if off.any() else 0.0
     return NormalCheck(normal_max_error=normal_err,
                        weight_max_error=weight_err,
-                       mask_fraction=mask.fraction)
+                       mask_fraction=float(mask.mean()))

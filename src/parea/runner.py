@@ -298,20 +298,15 @@ def _run_minimize(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitC
 def _run_check_integrability(config: ExperimentConfig, data: dict,
                              out: Artifacts) -> ExitCode:
     w, f = data["u"], data["f"]
-    labels = classify_integrability(w, f, _tau(config), config.eta)
-    tensor = labels.tensor
-    label_field = ScalarField(w.domain, labels.labels.astype(float))
+    labels, tensor = classify_integrability(w, f, _tau(config), config.eta)
+    label_field = ScalarField(w.domain, labels.astype(float))
     write_field(label_field, out("labels.pfld"))
     write_csv(label_field, out("labels.csv"))
-    if tensor.entries.shape[0]:
+    if tensor.values.shape[0]:
         write_field(tensor, out("frobenius.pfld"))
     _write_summary(out, [
-        ("singular_fraction", labels.fraction(IntegrabilityLabel.SINGULAR)),
-        ("integrable_fraction", labels.fraction(IntegrabilityLabel.INTEGRABLE)),
-        ("nonintegrable_fraction",
-         labels.fraction(IntegrabilityLabel.NONINTEGRABLE)),
-        ("tensor_max", tensor.max_abs()),
-    ])
+        (f"{label.name.lower()}_fraction", float(np.mean(labels == label)))
+        for label in IntegrabilityLabel] + [("tensor_max", tensor.max_abs())])
     return ExitCode.OK
 
 

@@ -265,7 +265,7 @@ def _build_curl_ok_contraction_fails(domain: GridDomain, seed: int) -> dict:
 def _check_curl_ok_contraction_fails(data: dict) -> list[CheckOutcome]:
     nu, d, f = data["nu"], data["d"], data["f"]
     curl_res = tangential_curl_residual(nu, d, f)
-    cmax = float(np.max(np.abs(curl_res.entries)))
+    cmax = float(np.max(np.abs(curl_res.values)))
     contraction = normal_contraction_residual(nu, d, f)
     norms = np.sqrt(np.sum(contraction.values ** 2, axis=0))
     return [
@@ -372,7 +372,7 @@ def _structure_residual_max(scenario: Scenario, n: int, seed: int) -> float:
     domain = scenario.domain(n)
     data = scenario.builder(domain, seed)
     res = structure_identity_residual(data["u"], data["f"])
-    return float(np.max(np.abs(res.entries)))
+    return float(np.max(np.abs(res.values)))
 
 
 def _check_random_smooth(data: dict) -> list[CheckOutcome]:

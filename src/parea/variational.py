@@ -112,7 +112,7 @@ def first_variation(u: ScalarField, phi: ScalarField, f: VectorField,
         require_same_domain(u, h)
         common = common + h.values * phi.values
     mag = np.sqrt(np.sum(gphi ** 2, axis=0))
-    singular_part = integrate_values(domain, np.where(mask.flags, mag, 0.0))
+    singular_part = integrate_values(domain, np.where(mask, mag, 0.0))
     base = integrate_values(domain, common)
     return base + singular_part, base - singular_part
 
@@ -418,7 +418,7 @@ class UniquenessReport:
 def pointwise_skew_rank(field, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Numerical rank of a skew matrix field at every node (always even),
     from the upper-triangle entries it stores."""
-    return triangle_ranks(field.entries, field.domain.m, tol)
+    return triangle_ranks(field.values, field.domain.m, tol)
 
 
 def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
@@ -442,14 +442,14 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     functional_u = _functional_from_weight(u, d.values, h)
     del d
     labels_u = integrability_labels(
-        mask_u, _frobenius_blocks(nu_u.values, h_curl.entries), eta)
+        mask_u, _frobenius_blocks(nu_u.values, h_curl.values), eta)
     nu_v, mask_v, d = horizontal_normal(v, f, tau)
     functional_v = _functional_from_weight(v, d.values, h)
     del d
     labels_v = integrability_labels(
-        mask_v, _frobenius_blocks(nu_v.values, h_curl.entries), eta)
+        mask_v, _frobenius_blocks(nu_v.values, h_curl.values), eta)
     del h_curl
-    joint = mask_u.flags | mask_v.flags
+    joint = mask_u | mask_v
     off = ~joint
 
     normal_diff = np.sqrt(np.sum((nu_u.values - nu_v.values) ** 2, axis=0))

@@ -152,7 +152,7 @@ def test_criterion_04_negative_controls():
     curl_res = tangential_curl_residual(data3["nu"], data3["d"], data3["f"])
     con = normal_contraction_residual(data3["nu"], data3["d"], data3["f"])
     norms = np.sqrt(np.sum(con.values ** 2, axis=0))
-    ok = (ok and float(np.max(np.abs(curl_res.entries))) <= 1e-12
+    ok = (ok and float(np.max(np.abs(curl_res.values))) <= 1e-12
           and float(np.max(np.abs(norms - 1.0))) <= 1e-10)
     report(4, "negative controls: contracted-but-not-closed refuses, "
               "compatible-but-obstructed has unit contraction residual",
@@ -206,7 +206,7 @@ def test_criterion_06_structure_identity_refines():
             f = VectorField(d, base + 0.3 * random_smooth_field(d, seed + 50, 2).values)
             dd = weight(u, f)
             ok = ok and float(dd.values.min()) >= 0.1 * field_scale(dd)
-            errs.append(float(np.max(np.abs(structure_identity_residual(u, f).entries))))
+            errs.append(float(np.max(np.abs(structure_identity_residual(u, f).values))))
         for coarse, fine in zip(errs, errs[1:]):
             ok = ok and RATIO_BAND[0] <= coarse / fine <= RATIO_BAND[1]
     report(6, "structure identity residual refines at second order on "

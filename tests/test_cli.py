@@ -15,6 +15,8 @@ import parea.cli
 from parea.cli import main
 from parea.fieldio import read_field, write_field
 from parea.grids import build_domain, sample, sample_vector
+from parea.horizontal import horizontal_normal
+from parea.integrability import IntegrabilityLabel, classify_integrability, frobenius_tensor
 from parea.runner import (
     INPUT_KEYS,
     PIPELINES,
@@ -24,6 +26,7 @@ from parea.runner import (
     load_config,
     run,
 )
+from parea.scenarios import builtin_scenario
 
 
 def run_cli(*args):
@@ -249,6 +252,33 @@ class TestOtherPipelines:
             line.split(",", 1)
             for line in (tmp_path / "summary.csv").read_text().splitlines()[1:])
         assert float(summary["integrable_fraction"]) == 1.0
+
+    @pytest.mark.parametrize("name", ["heisenberg(1)", "heisenberg(2)"])
+    def test_check_integrability_artifacts(self, tmp_path, name):
+        """`labels.pfld` holds the labels and `frobenius.pfld` the tensor bit for
+        bit, written only when there are triples (m >= 3); `tensor_max` is its
+        max |T|, 0 for the empty tensor at m = 2."""
+        assert run_cli("check-integrability", "--scenario", name, "--resolution", "5",
+                       "--out", str(tmp_path)) == 0
+        data = builtin_scenario(name).build(5, 0)
+        u, f = data["u"], data["f"]
+        labels, tensor = classify_integrability(u, f)
+        summary = dict(
+            line.split(",", 1)
+            for line in (tmp_path / "summary.csv").read_text().splitlines()[1:])
+        assert np.array_equal(read_field(tmp_path / "labels.pfld").values, labels)
+        for label in IntegrabilityLabel:
+            assert (float(summary[f"{label.name.lower()}_fraction"])
+                    == np.mean(labels == label))
+        frobenius = tmp_path / "frobenius.pfld"
+        if u.domain.m == 2:
+            assert not frobenius.exists()
+            assert float(summary["tensor_max"]) == 0.0
+            return
+        expected = frobenius_tensor(horizontal_normal(u, f)[0], f).values
+        assert np.array_equal(read_field(frobenius).values.view(np.uint64),
+                              expected.view(np.uint64))
+        assert float(summary["tensor_max"]) == np.max(np.abs(expected)) > 0
 
     def test_audit_uniqueness(self, tmp_path):
         code = run_cli("audit-uniqueness", "--scenario", "example_2_2",

@@ -27,7 +27,6 @@ from parea.fieldio import (
 from parea.grids import (
     Alternating3Field,
     ScalarField,
-    SingularMask,
     SkewField,
     VectorField,
     build_domain,
@@ -97,10 +96,11 @@ def test_alt3_round_trip(tmp_path):
 
 
 def test_write_field_refuses_singular_mask(tmp_path, domain):
-    """A mask has a CSV form but no `.pfld` kind, so nothing is written."""
-    mask = SingularMask(domain, np.ones(domain.counts, dtype=bool))
+    """A singular mask is a plain bool array, not a field: it has no `.pfld`
+    kind, so nothing is written."""
+    mask = np.ones(domain.counts, dtype=bool)
     path = tmp_path / "mask.pfld"
-    with pytest.raises(TypeError, match="SingularMask"):
+    with pytest.raises(TypeError, match="ndarray"):
         write_field(mask, path)
     assert not path.exists()
 
@@ -217,8 +217,8 @@ def _field_blocks(field) -> tuple[str, np.ndarray]:
     if isinstance(field, VectorField):
         return f"kind=vector c={m}", field.values
     if isinstance(field, SkewField):
-        return "kind=skew", field.entries
-    return "kind=alt3", field.entries
+        return "kind=skew", field.values
+    return "kind=alt3", field.values
 
 
 def _reference_pfld(field) -> bytes:
@@ -372,6 +372,13 @@ def test_batched_formatting_matches_format_real():
 
 
 _GOLDEN = Path(__file__).parent / "data" / "fieldio_golden_sha256.json"
+class _FlagField(ScalarField):
+    """A scalar field whose CSV column is `flag`: a singular mask's CSV export,
+    its nodes written as 0 and 1."""
+
+    column = "flag"
+
+
 _GOLDEN_SCENARIOS = ("example_2_2", "example_4_2", "example_4_3", "smooth_roundtrip",
                      "random_smooth", "heisenberg(1)", "heisenberg(2)", "heisenberg(3)")
 
@@ -387,11 +394,12 @@ def test_golden_artifact_digests(tmp_path):
         f = data["f"]
         extra = {"curl": curl_matrix(f)}
         if "u" in data:
-            extra["singular"] = horizontal_normal(data["u"], f)[1]
+            mask = horizontal_normal(data["u"], f)[1]
+            extra["singular"] = _FlagField(f.domain, mask)
         nu = data["nu"] if "nu" in data else horizontal_normal(data["u"], f)[0]
         extra["frobenius"] = frobenius_tensor(nu, f)
         for key, fld in extra.items():
-            if not isinstance(fld, SingularMask):
+            if key != "singular":
                 write_field(fld, out / f"{key}.pfld")
             write_csv(fld, out / f"{key}.csv")
     digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()

@@ -283,7 +283,7 @@ class TestFieldContainers:
         """An index tuple whose length is not the field's order is an error
         naming the order, not a zero array or a bare KeyError."""
         h = curl_matrix(builtin_scenario("heisenberg(2)").build(5, 0)["f"])
-        assert np.array_equal(h.entry(0, 1), h.entries[0])
+        assert np.array_equal(h.entry(0, 1), h.values[0])
         for index in [(), (0,), (0, 0, 1), (0, 1, 2)]:
             with pytest.raises(ValueError, match="order 2"):
                 h.entry(*index)
@@ -300,7 +300,7 @@ class TestFieldContainers:
                 h.entry(*index)
         with pytest.raises(ValueError, match="m=4"):
             f.entry(4)
-        assert np.array_equal(h.entry(3, 2), -h.entries[-1])
+        assert np.array_equal(h.entry(3, 2), -h.values[-1])
 
     def test_field_scale_floors_at_one(self):
         d = unit_square(5)

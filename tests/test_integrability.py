@@ -4,6 +4,7 @@ import pytest
 from parea import grids as grids_module
 from parea import skewalg as skewalg_module
 from parea.grids import (
+    Alternating3Field,
     ScalarField,
     VectorField,
     build_domain,
@@ -55,7 +56,7 @@ class TestFrobeniusTensor:
         f = heisenberg_field(d)
         nu = constant_vector(d, [0.0, 1.0])
         t = frobenius_tensor(nu, f)
-        assert t.entries.shape[0] == 0
+        assert t.values.shape[0] == 0
         assert t.max_abs() == 0.0
 
     def test_m4_single_class(self):
@@ -76,7 +77,7 @@ class TestFrobeniusTensor:
         h, v = curl_matrix(f), nu.values
         expected = [v[k] * h.entry(i, j) + v[i] * h.entry(j, k) + v[j] * h.entry(k, i)
                     for k, i, j in triple_indices(m)]
-        assert np.array_equal(frobenius_tensor(nu, f).entries, np.stack(expected))
+        assert np.array_equal(frobenius_tensor(nu, f).values, np.stack(expected))
 
     def test_gradient_field_vanishes(self):
         d = unit_box(3, 9)
@@ -96,43 +97,59 @@ class TestFrobeniusTensor:
 
 
 class TestClassification:
+    def test_plain_array_results(self):
+        """The singular mask is a read-only bool array of shape `counts`, and
+        the labels come as int8 beside the tensor they were read from."""
+        d = unit_box(4, 5)
+        f = heisenberg_field(d)
+        w = sample(d, lambda a, b, c, e: a * b)
+        _, mask, _ = horizontal_normal(w, f)
+        assert type(mask) is np.ndarray
+        assert mask.dtype == bool and mask.shape == d.counts
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0, 0, 0] = not mask[0, 0, 0, 0]
+        labels, tensor = classify_integrability(w, f)
+        assert type(labels) is np.ndarray
+        assert labels.dtype == np.int8 and labels.shape == d.counts
+        assert isinstance(tensor, Alternating3Field)
+        assert np.array_equal(labels == int(IntegrabilityLabel.SINGULAR), mask)
+
     def test_m4_generic_nonintegrable(self):
         d = unit_box(4, 5)
         f = heisenberg_field(d)
         w = sample(d, lambda a, b, c, e: a * b + 0.3 * c - 0.1 * e + 0.5 * a)
-        labels = classify_integrability(w, f)
-        off = labels.labels != int(IntegrabilityLabel.SINGULAR)
-        assert np.all(labels.labels[off] == int(IntegrabilityLabel.NONINTEGRABLE))
+        labels, _ = classify_integrability(w, f)
+        off = labels != int(IntegrabilityLabel.SINGULAR)
+        assert np.all(labels[off] == int(IntegrabilityLabel.NONINTEGRABLE))
 
     def test_curl_free_integrable(self):
         d = unit_box(3, 9)
         f = VectorField(d, np.zeros((3,) + d.counts))
         w = sample(d, lambda x, y, z: x + 2 * y + 3 * z)
-        labels = classify_integrability(w, f)
-        assert labels.fraction(IntegrabilityLabel.INTEGRABLE) == 1.0
+        labels, _ = classify_integrability(w, f)
+        assert np.all(labels == int(IntegrabilityLabel.INTEGRABLE))
 
     def test_m2_vacuously_integrable(self):
         d = build_domain(2, [0.1, 0], [1, 1], [17, 17])
         f = heisenberg_field(d)
         w = sample(d, lambda x, y: x * y)
-        labels = classify_integrability(w, f)
-        assert labels.fraction(IntegrabilityLabel.INTEGRABLE) == 1.0
+        labels, _ = classify_integrability(w, f)
+        assert np.all(labels == int(IntegrabilityLabel.INTEGRABLE))
 
     def test_singular_labelled(self):
         d = build_domain(2, [-1, 0], [1, 1], [17, 17])
         f = heisenberg_field(d)
         w = sample(d, lambda x, y: x * y)
-        labels = classify_integrability(w, f)
-        assert labels.labels[8, 0] == int(IntegrabilityLabel.SINGULAR)
+        labels, _ = classify_integrability(w, f)
+        assert labels[8, 0] == int(IntegrabilityLabel.SINGULAR)
 
     def test_carries_normal_mask_and_tensor(self):
         d = unit_box(4, 5)
         f = heisenberg_field(d)
         w = sample(d, lambda a, b, c, e: a * b + 0.3 * c)
-        labels = classify_integrability(w, f)
+        _, tensor = classify_integrability(w, f)
         nu, _, _ = horizontal_normal(w, f)
-        assert np.array_equal(labels.tensor.entries,
-                              frobenius_tensor(nu, f).entries)
+        assert np.array_equal(tensor.values, frobenius_tensor(nu, f).values)
 
     def test_full_rank_blocks_never_integrable(self):
         # rank-4 curl: no unit direction makes the tensor vanish anywhere
@@ -144,7 +161,7 @@ class TestClassification:
             direction = rng.standard_normal(4)
             direction /= np.linalg.norm(direction)
             t = frobenius_tensor(constant_vector(d, direction), f)
-            tmax = np.max(np.abs(t.entries), axis=0)
+            tmax = np.max(np.abs(t.values), axis=0)
             scale = field_scale(t) if scale is None else scale
             assert tmax.min() >= 1e-4 * scale
 
@@ -159,7 +176,7 @@ class TestTangentialCurlResidual:
             f = VectorField(d, base + 0.3 * random_smooth_field(d, 22, 2).values)
             nu, _, _ = horizontal_normal(u, f)
             res = tangential_curl_residual(nu, weight(u, f), f)
-            errs.append(np.max(np.abs(res.entries)))
+            errs.append(np.max(np.abs(res.values)))
         assert 3.4 <= errs[0] / errs[1] <= 4.6
 
     def test_constant_normal_zero_field(self):
@@ -167,7 +184,7 @@ class TestTangentialCurlResidual:
         # the non-dyadic constant components survives
         data = builtin_scenario("example_4_3").build()
         res = tangential_curl_residual(data["nu"], data["d"], data["f"])
-        assert np.max(np.abs(res.entries)) <= 1e-13
+        assert np.max(np.abs(res.values)) <= 1e-13
 
     def test_nonzero_when_normal_not_adapted(self):
         # m=3 rotation in the first two axes, probe direction off the
@@ -294,7 +311,7 @@ class TestTriangleContractions:
     def test_match_dense_reference(self, m, n):
         _, nu, dd, f = smooth_triple(m, n, 40 + m)
         tangential, contraction, weight_eq = dense_reference_residuals(nu, dd, f)
-        assert np.array_equal(tangential_curl_residual(nu, dd, f).entries, tangential)
+        assert np.array_equal(tangential_curl_residual(nu, dd, f).values, tangential)
         assert np.array_equal(normal_contraction_residual(nu, dd, f).values,
                               contraction)
         assert np.array_equal(weight_equation_residual(nu, dd, f).values, weight_eq)

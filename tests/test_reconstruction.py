@@ -76,7 +76,7 @@ class TestClosednessResidual:
     def test_exact_gradient(self):
         d = build_domain(2, [0, 0], [1, 1], [9, 9])
         u = sample_vector(d, [lambda x, y: y, lambda x, y: x])
-        assert np.max(np.abs(closedness_residual(u).entries)) < 1e-13
+        assert np.max(np.abs(closedness_residual(u).values)) < 1e-13
 
     def test_four_dim_obstruction(self):
         # entry (1,2) closes, entry (3,4) sits at -2
@@ -93,7 +93,7 @@ class TestClosednessResidual:
         for n in (17, 33):
             d = build_domain(2, [0, 0], [1, 1], [n, n])
             u = sample(d, lambda x, y: np.sin(2 * x) * np.cos(y))
-            assert np.max(np.abs(closedness_residual(gradient(u)).entries)) <= 1e-12
+            assert np.max(np.abs(closedness_residual(gradient(u)).values)) <= 1e-12
 
 
 class TestIntegratePotential:
@@ -428,6 +428,6 @@ class TestNegativeControl:
         data = builtin_scenario("example_4_3").build()
         cand = candidate_gradient(data["nu"], data["d"], data["f"])
         res = closedness_residual(cand)
-        assert np.max(np.abs(res.entries)) > 0.5
+        assert np.max(np.abs(res.values)) > 0.5
         with pytest.raises(NotClosedError):
             integrate_potential(cand)

@@ -611,9 +611,9 @@ class TestPeakMemory:
         # 3.4 curls (5.5 for a rank-2 curl, which only the SVD ranks); now
         # a block of the nodes in doubt is the only dense part
         h = curl_matrix(fields[2])
-        assert self.peak(lambda: pointwise_skew_rank(h)) < h.entries.nbytes
+        assert self.peak(lambda: pointwise_skew_rank(h)) < h.values.nbytes
         h2 = curl_matrix(rank2_linear_field(6))
-        assert self.peak(lambda: pointwise_skew_rank(h2)) < 2.5 * h2.entries.nbytes
+        assert self.peak(lambda: pointwise_skew_rank(h2)) < 2.5 * h2.values.nbytes
 
     def test_uniqueness_audit_peak(self, fields):
         u, v, f, tensor_bytes = fields
