@@ -49,6 +49,7 @@ from .skewalg import (
     spectral_pairs,
 )
 from .integrability import (
+    FrobeniusTensor,
     IntegrabilityLabel,
     classify_integrability,
     codazzi_residual_2d,

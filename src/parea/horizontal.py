@@ -34,17 +34,21 @@ DEFAULT_SINGULAR_TOL = 1e-6
 
 def _horizontal(w: ScalarField, f: VectorField
                 ) -> tuple[GridDomain, np.ndarray, np.ndarray]:
-    """The shared kernel: grad(w) + F, shape (m, *counts), and its pointwise
-    norm D."""
+    """The shared kernel: grad(w) + F, shape (m, *counts), built in place, and
+    its pointwise norm D, the squares summed one component at a time."""
     domain = require_same_domain(w, f)
-    hat = gradient_values(domain, w.values) + f.values
-    return domain, hat, np.sqrt(np.sum(hat ** 2, axis=0))
+    hat = gradient_values(domain, w.values)
+    hat += f.values
+    d = np.square(hat[0])
+    for component in hat[1:]:
+        d += np.square(component)
+    return domain, hat, np.sqrt(d, out=d)
 
 
 def weight(w: ScalarField, f: VectorField) -> ScalarField:
     """Pointwise Euclidean norm of grad(w) + F (nonnegative)."""
     domain, _, d = _horizontal(w, f)
-    return ScalarField(domain, d)
+    return ScalarField._adopt(domain, d)
 
 
 def _singular_flags(d: np.ndarray, tau: float) -> np.ndarray:
@@ -57,14 +61,15 @@ def _singular_flags(d: np.ndarray, tau: float) -> np.ndarray:
 def horizontal_normal(w: ScalarField, f: VectorField,
                       tau: float = DEFAULT_SINGULAR_TOL
                       ) -> tuple[VectorField, np.ndarray, ScalarField]:
-    """Unit field (grad(w) + F)/|grad(w) + F|, zero on the singular mask
-    D < tau * field_scale(D), and the weight D, all from one `_horizontal`
-    call. The mask is a read-only bool array of shape `counts`."""
+    """Unit field (grad(w) + F)/|grad(w) + F|, divided in place and zero on the
+    singular mask D < tau * field_scale(D), and the weight D, all from one
+    `_horizontal` call. The mask is a read-only bool array of shape `counts`."""
     domain, hat, d = _horizontal(w, f)
     mask = _singular_flags(d, tau)
     mask.setflags(write=False)
-    nu = np.where(mask, 0.0, hat / np.where(mask, 1.0, d))
-    return VectorField._adopt(domain, nu), mask, ScalarField._adopt(domain, d)
+    np.divide(hat, d, out=hat, where=~mask)
+    hat[:, mask] = 0.0
+    return VectorField._adopt(domain, hat), mask, ScalarField._adopt(domain, d)
 
 
 def curl_matrix(f: VectorField) -> SkewField:

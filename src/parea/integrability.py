@@ -63,18 +63,39 @@ def _frobenius_blocks(v: np.ndarray, e: np.ndarray):
         yield v[k] * e[pos[i, j]] - v[i] * e[pos[k, j]] + v[j] * e[pos[k, i]]
 
 
-def frobenius_tensor(nu: VectorField, f: VectorField) -> Alternating3Field:
-    """T_kij = nu_k h_ij + nu_i h_jk + nu_j h_ki on increasing triples: the
-    one place the whole tensor is formed.
+def _node_max(blocks: Iterable[np.ndarray], counts: tuple[int, ...]) -> np.ndarray:
+    """The per-node max |T|, one block at a time; zero for m = 2."""
+    tmax = np.zeros(counts)
+    for block in blocks:
+        np.maximum(tmax, np.abs(block), out=tmax)
+    return tmax
 
-    For k < i < j the curl entries are read from the upper triangle as
-    h_ij - h_kj + h_ki, and the sign is exact in floating point."""
-    domain = require_same_domain(nu, f)
-    entries = np.empty((len(triple_indices(domain.m)),) + domain.counts)
-    # the exhausted block generator frees the curl; the field adopts the entries
-    for t, block in enumerate(_frobenius_blocks(nu.values, curl_matrix(f).values)):
-        entries[t] = block
-    return Alternating3Field._adopt(domain, entries)
+
+class FrobeniusTensor:
+    """T_kij = nu_k h_ij + nu_i h_jk + nu_j h_ki on increasing triples, never
+    formed whole: it keeps the normal's values and the curl's triangle entries,
+    forms each block once for the per-node max |T| (`node_max`), and `blocks`
+    forms them again one at a time, as `fieldio.write_field` writes them. With
+    k < i < j the curl entries are read as h_ij - h_kj + h_ki; the sign is exact."""
+
+    kind = Alternating3Field.kind
+
+    def __init__(self, nu: VectorField, f: VectorField):
+        self.domain = require_same_domain(nu, f)
+        self._normal, self._curl = nu.values, curl_matrix(f).values
+        self.node_max = _node_max(self.blocks, self.domain.counts)
+
+    @property
+    def blocks(self):
+        return _frobenius_blocks(self._normal, self._curl)
+
+    def max_abs(self) -> float:
+        return float(self.node_max.max())
+
+
+def frobenius_tensor(nu: VectorField, f: VectorField) -> FrobeniusTensor:
+    """The streamed Frobenius tensor of nu against the curl of F; empty for m = 2."""
+    return FrobeniusTensor(nu, f)
 
 
 def integrability_labels(mask: np.ndarray, blocks: Iterable[np.ndarray],
@@ -86,25 +107,19 @@ def integrability_labels(mask: np.ndarray, blocks: Iterable[np.ndarray],
     tensor."""
     if not eta > 0:
         raise ValueError("eta must be positive")
-    tmax = np.zeros(mask.shape)  # stays zero for m = 2
-    for block in blocks:
-        np.maximum(tmax, np.abs(block), out=tmax)
+    tmax = _node_max(blocks, mask.shape)
     scale = field_scale(tmax)  # the max-norm of the tensor, read off tmax
-    return np.where(
-        mask,
-        int(IntegrabilityLabel.SINGULAR),
-        np.where(tmax < eta * scale,
-                 int(IntegrabilityLabel.INTEGRABLE),
-                 int(IntegrabilityLabel.NONINTEGRABLE)),
-    ).astype(np.int8)
+    labels = np.where(tmax < eta * scale, int(IntegrabilityLabel.INTEGRABLE),
+                      int(IntegrabilityLabel.NONINTEGRABLE))
+    return np.where(mask, int(IntegrabilityLabel.SINGULAR), labels).astype(np.int8)
 
 
 def classify_integrability(w: ScalarField, f: VectorField,
                            tau: float = DEFAULT_SINGULAR_TOL,
                            eta: float = DEFAULT_CLASSIFY_TOL
-                           ) -> tuple[np.ndarray, Alternating3Field]:
+                           ) -> tuple[np.ndarray, FrobeniusTensor]:
     """Label each node singular / integrable / nonintegrable: the int8 labels
-    and the Frobenius tensor they were read from.
+    and the streamed Frobenius tensor whose per-node max they were read from.
 
     Off the mask a node is integrable iff the max tensor entry is below
     eta * field_scale(T). The threshold separates second-order discretization
@@ -115,7 +130,8 @@ def classify_integrability(w: ScalarField, f: VectorField,
         raise ValueError("tau and eta must be positive")
     nu, mask = horizontal_normal(w, f, tau)[:2]  # the weight is freed at once
     tensor = frobenius_tensor(nu, f)
-    return integrability_labels(mask, tensor.blocks, eta), tensor
+    # node_max, read as a one-block tensor, has the same per-node max: one rule
+    return integrability_labels(mask, (tensor.node_max,), eta), tensor
 
 
 def _check_triple(nu: VectorField, d: ScalarField, f: VectorField) -> GridDomain:

@@ -299,14 +299,16 @@ def _run_check_integrability(config: ExperimentConfig, data: dict,
                              out: Artifacts) -> ExitCode:
     w, f = data["u"], data["f"]
     labels, tensor = classify_integrability(w, f, _tau(config), config.eta)
-    label_field = ScalarField(w.domain, labels.astype(float))
+    if w.domain.m > 2:  # the tensor re-forms its blocks one at a time
+        write_field(tensor, out("frobenius.pfld"))
+    tensor_max = tensor.max_abs()
+    del tensor  # its normal and curl are freed before the labels are written
+    label_field = ScalarField._adopt(w.domain, labels.astype(float))
     write_field(label_field, out("labels.pfld"))
     write_csv(label_field, out("labels.csv"))
-    if tensor.values.shape[0]:
-        write_field(tensor, out("frobenius.pfld"))
     _write_summary(out, [
         (f"{label.name.lower()}_fraction", float(np.mean(labels == label)))
-        for label in IntegrabilityLabel] + [("tensor_max", tensor.max_abs())])
+        for label in IntegrabilityLabel] + [("tensor_max", tensor_max)])
     return ExitCode.OK
 
 
@@ -354,18 +356,10 @@ def _run_audit(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode
     u, v, f, h = data["u"], data["v"], data["f"], data.get("h")
     a = data.get("a") or pairwise_rotation(f.domain.m)
     report = uniqueness_audit(u, v, f, h, a, _tau(config), config.eta)
-    rows = [
-        ("normal_max", report.normal_max),
-        ("normal_l1", report.normal_l1),
-        ("gradient_max", report.gradient_max),
-        ("gradient_l1", report.gradient_l1),
-        ("rank_condition_fraction", report.rank_condition_fraction),
-        ("nonintegrable_fraction", report.nonintegrable_fraction),
-        ("divb_positive_fraction", report.divb_positive_fraction),
-        ("orthogonality_residual", report.orthogonality_residual),
-        ("functional_gap", report.functional_gap),
-        ("joint_mask_fraction", report.joint_mask_fraction),
-    ]
+    rows = [(name, getattr(report, name)) for name in (
+        "normal_max", "normal_l1", "gradient_max", "gradient_l1",
+        "rank_condition_fraction", "nonintegrable_fraction", "divb_positive_fraction",
+        "orthogonality_residual", "functional_gap", "joint_mask_fraction")]
     for eps, fraction in report.epsilon_mask_fractions:
         rows.append((f"mask_fraction_eps_{eps:g}", fraction))
     _write_rows(out("audit.csv"), "metric,value", rows)

@@ -484,6 +484,7 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
         ortho = max(ortho, abs(float(np.sum(weights_arr * dots))))
         ortho_pointwise = max(ortho_pointwise, float(np.max(np.abs(dots))))
         eps_masks.append((e, float(_singular_flags(d, tau).mean())))
+        del ue, shifted, d, transformed, dots  # before the next eps allocates
 
     gap = abs(functional_u - functional_v)
 

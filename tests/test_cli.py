@@ -275,7 +275,7 @@ class TestOtherPipelines:
             assert not frobenius.exists()
             assert float(summary["tensor_max"]) == 0.0
             return
-        expected = frobenius_tensor(horizontal_normal(u, f)[0], f).values
+        expected = np.stack(list(frobenius_tensor(horizontal_normal(u, f)[0], f).blocks))
         assert np.array_equal(read_field(frobenius).values.view(np.uint64),
                               expected.view(np.uint64))
         assert float(summary["tensor_max"]) == np.max(np.abs(expected)) > 0

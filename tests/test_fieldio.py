@@ -397,7 +397,9 @@ def test_golden_artifact_digests(tmp_path):
             mask = horizontal_normal(data["u"], f)[1]
             extra["singular"] = _FlagField(f.domain, mask)
         nu = data["nu"] if "nu" in data else horizontal_normal(data["u"], f)[0]
-        extra["frobenius"] = frobenius_tensor(nu, f)
+        blocks = list(frobenius_tensor(nu, f).blocks)  # none for m = 2
+        extra["frobenius"] = Alternating3Field(
+            f.domain, np.reshape(blocks, (-1,) + f.domain.counts))
         for key, fld in extra.items():
             if key != "singular":
                 write_field(fld, out / f"{key}.pfld")

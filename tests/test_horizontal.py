@@ -13,6 +13,7 @@ from parea.grids import (
     build_domain,
     field_scale,
     gradient,
+    gradient_values,
     pair_indices,
     sample,
     sample_vector,
@@ -324,6 +325,40 @@ def box_search_radius(flags) -> int:
                for centre in itertools.product(*ranges)):
             best = r
     return best
+
+
+def same_bits(a, b):
+    """Equal values and equal signs, so +0.0 and -0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestInPlaceKernel:
+    """`_horizontal` adds F into the gradient stack and sums the squares one
+    component at a time, and `horizontal_normal` divides that stack in place:
+    each is bit for bit the plain expression it replaced, signed zeros and the
+    masked nodes included."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_plain_expressions(self, m):
+        n = 9 if m <= 3 else 5
+        d = build_domain(m, [-1.0] * m, [1.0] * m, [n] * m)
+        w = random_smooth_scalar(d, 30 + m, 2)
+        grad = gradient_values(d, w.values)
+        # F = -grad(w) exactly on the slab x_1 < 0, so grad(w) + F vanishes
+        # there and the slab is masked; seeded noise elsewhere
+        noise = np.random.default_rng(m).standard_normal(grad.shape)
+        f = VectorField(d, np.where(d.meshes()[0] < 0, 0.0, noise) - grad)
+        plain = grad + f.values
+        plain_d = np.sqrt(np.sum(plain ** 2, axis=0))
+
+        _, hat, norm = horizontal_module._horizontal(w, f)
+        assert same_bits(hat, plain) and same_bits(norm, plain_d)
+        nu, mask, weight_field = horizontal_normal(w, f)
+        assert mask.any() and not mask.all()
+        expected = np.where(mask, 0.0, plain / np.where(mask, 1.0, plain_d))
+        assert same_bits(nu.values, expected)
+        assert same_bits(weight_field.values, plain_d)
+        assert same_bits(weight(w, f).values, plain_d)
 
 
 class TestOneKernelCall:

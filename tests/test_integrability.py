@@ -23,10 +23,13 @@ from parea.horizontal import (
     weight,
 )
 from parea.integrability import (
+    DEFAULT_CLASSIFY_TOL,
+    FrobeniusTensor,
     IntegrabilityLabel,
     classify_integrability,
     codazzi_residual_2d,
     frobenius_tensor,
+    integrability_labels,
     normal_contraction_residual,
     renormalize_normal,
     tangential_curl_residual,
@@ -50,21 +53,28 @@ def unit_box(m, n):
     return build_domain(m, [0.0] * m, [1.0] * m, [n] * m)
 
 
+def stacked(t):
+    """The streamed tensor's blocks stacked into one alt3 field, for entry
+    reads; the tensor itself never forms them at once."""
+    return Alternating3Field(t.domain, np.stack(list(t.blocks)))
+
+
 class TestFrobeniusTensor:
     def test_empty_in_two_dimensions(self):
         d = unit_box(2, 9)
         f = heisenberg_field(d)
         nu = constant_vector(d, [0.0, 1.0])
         t = frobenius_tensor(nu, f)
-        assert t.values.shape[0] == 0
+        assert list(t.blocks) == []
         assert t.max_abs() == 0.0
+        assert np.array_equal(t.node_max, np.zeros(d.counts))
 
     def test_m4_single_class(self):
         # h = block(2, 2); nu = e1 leaves only the (1,3,4) class, value 2
         d = unit_box(4, 5)
         f = heisenberg_field(d)
         nu = constant_vector(d, [1.0, 0.0, 0.0, 0.0])
-        t = frobenius_tensor(nu, f)
+        t = stacked(frobenius_tensor(nu, f))
         for (k, i, j) in t.indices:
             expected = 2.0 if (k, i, j) == (0, 2, 3) else 0.0
             assert np.array_equal(t.entry(k, i, j), np.full(d.counts, expected))
@@ -77,7 +87,13 @@ class TestFrobeniusTensor:
         h, v = curl_matrix(f), nu.values
         expected = [v[k] * h.entry(i, j) + v[i] * h.entry(j, k) + v[j] * h.entry(k, i)
                     for k, i, j in triple_indices(m)]
-        assert np.array_equal(frobenius_tensor(nu, f).values, np.stack(expected))
+        expected = np.stack(expected)
+        t = frobenius_tensor(nu, f)
+        # each read forms the blocks again; the per-node max is theirs
+        for _ in range(2):
+            assert np.array_equal(stacked(t).values, expected)
+        assert np.array_equal(t.node_max, np.max(np.abs(expected), axis=0))
+        assert t.max_abs() == np.max(np.abs(expected))
 
     def test_gradient_field_vanishes(self):
         d = unit_box(3, 9)
@@ -90,7 +106,7 @@ class TestFrobeniusTensor:
         d = unit_box(4, 5)
         f = heisenberg_field(d)
         nu = constant_vector(d, [0.5, 0.5, 0.5, 0.5])
-        t = frobenius_tensor(nu, f)
+        t = stacked(frobenius_tensor(nu, f))
         assert np.array_equal(t.entry(2, 0, 3), -t.entry(0, 2, 3))
         assert np.array_equal(t.entry(3, 0, 2), t.entry(0, 2, 3))
         assert np.all(t.entry(0, 0, 3) == 0.0)
@@ -111,7 +127,7 @@ class TestClassification:
         labels, tensor = classify_integrability(w, f)
         assert type(labels) is np.ndarray
         assert labels.dtype == np.int8 and labels.shape == d.counts
-        assert isinstance(tensor, Alternating3Field)
+        assert isinstance(tensor, FrobeniusTensor)
         assert np.array_equal(labels == int(IntegrabilityLabel.SINGULAR), mask)
 
     def test_m4_generic_nonintegrable(self):
@@ -147,9 +163,13 @@ class TestClassification:
         d = unit_box(4, 5)
         f = heisenberg_field(d)
         w = sample(d, lambda a, b, c, e: a * b + 0.3 * c)
-        _, tensor = classify_integrability(w, f)
-        nu, _, _ = horizontal_normal(w, f)
-        assert np.array_equal(tensor.values, frobenius_tensor(nu, f).values)
+        labels, tensor = classify_integrability(w, f)
+        nu, mask, _ = horizontal_normal(w, f)
+        expected = frobenius_tensor(nu, f)
+        assert np.array_equal(stacked(tensor).values, stacked(expected).values)
+        # one labelling rule, on the tensor's per-node max or on its blocks
+        assert np.array_equal(labels, integrability_labels(mask, expected.blocks,
+                                                           DEFAULT_CLASSIFY_TOL))
 
     def test_full_rank_blocks_never_integrable(self):
         # rank-4 curl: no unit direction makes the tensor vanish anywhere
@@ -160,7 +180,7 @@ class TestClassification:
         for _ in range(25):
             direction = rng.standard_normal(4)
             direction /= np.linalg.norm(direction)
-            t = frobenius_tensor(constant_vector(d, direction), f)
+            t = stacked(frobenius_tensor(constant_vector(d, direction), f))
             tmax = np.max(np.abs(t.values), axis=0)
             scale = field_scale(t) if scale is None else scale
             assert tmax.min() >= 1e-4 * scale
