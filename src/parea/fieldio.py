@@ -19,15 +19,14 @@ last line of a block shorter when the node count is not a multiple of 8.
 Values are written with 17 significant digits so a write/read round trip is
 lossless for IEEE doubles.
 
-Writers format each distinct value once: every block, or CSV value column,
-is reduced to its distinct float64 bit patterns (which keep `-0.0`, "-0",
-apart from `0.0`), formatted with `format_real`'s template in one `%` call;
-a CSV coordinate column is its axis's nodes, indexed by node position. Each
-string ends with the separator that follows it (a CSV comma or row's
-newline; a block's space, or a newline variant where a value ends a line),
-so `_CHUNK_LINES` lines are written at a time as one `join` of strings
-gathered through the index. The bytes are those of formatting every value
-in turn, and the text of a whole file is never held in memory.
+Writers go through a field `_CHUNK_LINES` lines (or CSV rows) at a time, so
+a write holds one chunk, whatever the field size. A chunk of a block or CSV
+value column is reduced to its distinct float64 bit patterns (`-0.0`, "-0",
+stays apart from `0.0`), formatted in one `%` call; a CSV coordinate column
+is its axis's nodes, formatted once a write. Each string ends with the
+separator that follows it (a CSV comma or newline; a block's space, or a
+newline variant where a value ends a line), so a chunk is written as one
+`join`. The bytes are those of formatting every value in turn.
 
 The reader streams the file: it decodes `_READ_CHUNK` bytes at a time as
 ASCII with universal newlines, parses the header, then splits each chunk
@@ -104,12 +103,21 @@ def _distinct_strings(values, end: str) -> tuple[np.ndarray, np.ndarray]:
     return _strings(bits.view(np.float64), end), inverse
 
 
-def _write_lines(out, strings: np.ndarray, index: np.ndarray, per_line: int) -> None:
-    """Write `strings[index]` in order, `_CHUNK_LINES` lines of `per_line`
-    strings at a time; each string carries the separator that follows it."""
-    step = _CHUNK_LINES * per_line
-    for start in range(0, index.size, step):
-        out.write("".join(strings[index[start:start + step]].tolist()))
+def _write_lines(out, lines: int, chunk, *args) -> None:
+    """Write `lines` lines, `_CHUNK_LINES` at a time: `chunk(*args, start, stop)`
+    gives lines start..stop-1 as strings that carry their separators."""
+    for start in range(0, lines, _CHUNK_LINES):
+        out.write("".join(chunk(*args, start, min(start + _CHUNK_LINES, lines)).tolist()))
+
+
+def format_rows(columns):
+    """A table's text, `_CHUNK_LINES` rows at a time in one `%` call each: cells
+    of an integer column as `%d`, of a real column as `format_real` writes."""
+    template = " ".join("%d" if np.issubdtype(c.dtype, np.integer) else _REAL_FORMAT
+                        for c in columns) + "\n"
+    for start in range(0, len(columns[0]), _CHUNK_LINES):
+        rows = list(zip(*(c[start:start + _CHUNK_LINES].tolist() for c in columns)))
+        yield template * len(rows) % tuple(itertools.chain.from_iterable(rows))
 
 
 # The field class each `kind=` tag names.
@@ -139,15 +147,19 @@ def write_field(field, destination) -> None:
     with open(destination, "w", encoding="ascii") as out:
         out.write("\n".join(header) + "\n")
         for block in field.blocks:
-            strings, index = _distinct_strings(block, " ")
-            # every 8th value and the block's last end a line: they point at
-            # "\n" variants, made only for the distinct values they hold
-            ends = np.r_[_VALUES_PER_LINE - 1:index.size:_VALUES_PER_LINE, index.size - 1]
-            variants, which = np.unique(index[ends], return_inverse=True)
-            index[ends] = which + len(strings)
-            newline = "".join(strings[variants].tolist()).replace(" ", "\n").splitlines(True)
-            strings = np.concatenate([strings, np.array(newline, dtype=object)])
-            _write_lines(out, strings, index, _VALUES_PER_LINE)
+            _write_lines(out, -(-block.size // _VALUES_PER_LINE), _block_lines, block.flat)
+
+
+def _block_lines(values, start: int, stop: int) -> np.ndarray:
+    """Lines start..stop-1 of a block's flat `values`. Every 8th value and the
+    last end a line: newline variants, made only for the values they hold."""
+    strings, index = _distinct_strings(
+        values[start * _VALUES_PER_LINE:stop * _VALUES_PER_LINE], " ")
+    ends = np.r_[_VALUES_PER_LINE - 1:index.size:_VALUES_PER_LINE, index.size - 1]
+    variants, which = np.unique(index[ends], return_inverse=True)
+    index[ends] = which + len(strings)
+    newline = "".join(strings[variants].tolist()).replace(" ", "\n").splitlines(True)
+    return np.concatenate([strings, np.array(newline, dtype=object)])[index]
 
 
 def _header_value(line: str, key: str) -> str:
@@ -311,24 +323,21 @@ def write_csv(field, destination) -> None:
     """One row per node: coordinates then value(s), flat C node order."""
     domain: GridDomain = field.domain
     header = ",".join([f"x{k + 1}" for k in range(domain.m)] + field.column_names)
-    columns = domain.m + len(field.blocks)
+    blocks = field.blocks
+    columns = domain.m + len(blocks)
     ends = [","] * (columns - 1) + ["\n"]
-    index = np.empty(domain.counts + (columns,), dtype=np.intp)
-    tables, offset = [], 0
-    for k in range(domain.m):
-        # a coordinate's distinct values are its axis's nodes, indexed by
-        # each node's position on that axis: no sort
-        tables.append(_strings(domain.axis_nodes(k), ends[k]))
-        index[..., k] = np.arange(offset, offset + domain.counts[k]).reshape(
-            (-1,) + (1,) * (domain.m - 1 - k))
-        offset += domain.counts[k]
-    for k, block in enumerate(field.blocks, domain.m):
-        strings, inverse = _distinct_strings(block, ends[k])
-        tables.append(strings)
-        np.add(inverse.reshape(domain.counts), offset, out=index[..., k])
-        del inverse  # before the next column is sorted
-        offset += strings.size
-    strings = np.concatenate(tables)
+    # a coordinate's strings are its axis's nodes, indexed by position: no sort
+    axes = [_strings(domain.axis_nodes(k), ends[k]) for k in range(domain.m)]
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        cells = np.empty((stop - start, columns), dtype=object)
+        for k, pos in enumerate(np.unravel_index(np.arange(start, stop), domain.counts)):
+            cells[:, k] = axes[k][pos]
+        for k, block in enumerate(blocks, domain.m):
+            strings, inverse = _distinct_strings(block.flat[start:stop], ends[k])
+            cells[:, k] = strings[inverse]
+        return cells.reshape(-1)
+
     with open(destination, "w", encoding="ascii") as out:
         out.write(header + "\n")
-        _write_lines(out, strings, index.reshape(-1), columns)
+        _write_lines(out, domain.node_count, rows)

@@ -228,7 +228,8 @@ class _Field:
         return -stored if inversions % 2 else stored
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        v = self.values  # max(|max|, |min|): no |v| temporary
+        return float(max(abs(v.max()), abs(v.min()))) if v.size else 0.0
 
     def __repr__(self):
         return f"{type(self).__name__}(m={self.domain.m}, shape={self.domain.counts})"
@@ -274,9 +275,7 @@ def field_scale(field) -> float:
     """max(1, max-norm of a field's stored values or of an array); relative
     tolerances use this."""
     arr = np.asarray(getattr(field, "values", field))
-    if arr.size == 0:
-        return 1.0
-    return max(1.0, float(np.max(np.abs(arr))))
+    return float(max(1.0, abs(arr.max()), abs(arr.min()))) if arr.size else 1.0
 
 
 def require_same_domain(*fields) -> GridDomain:

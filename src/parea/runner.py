@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fieldio import format_real, read_field, write_csv, write_field
+from .fieldio import format_real, format_rows, read_field, write_csv, write_field
 from .grids import ScalarField, VectorField
 from .horizontal import (DEFAULT_SINGULAR_TOL, curl_matrix, horizontal_normal,
                          singular_stats)
@@ -270,16 +270,15 @@ def _run_minimize(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitC
     result = minimize(f, h, boundary, init, _solver_options(config))
     write_field(result.field, out("minimizer.pfld"))
     write_csv(result.field, out("minimizer.csv"))
-    out("convergence.log").write_text(result.log_text(), encoding="ascii")
-    iters, objectives = [], []
-    offset = 0
-    for stage in result.stages:
-        for it, obj, _ in stage.history:
-            iters.append(offset + it)
-            objectives.append(obj)
-        offset += stage.iterations
-    _write_rows(out("convergence.dat"), "# iteration objective",
-                zip(iters, objectives), " ")
+    with open(out("convergence.log"), "w", encoding="ascii") as log:
+        log.writelines(result.log_chunks())
+    # a stage's iteration 0 is the previous stage's last
+    firsts = np.cumsum([0] + [stage.iterations for stage in result.stages])
+    with open(out("convergence.dat"), "w", encoding="ascii") as dat:
+        dat.write("# iteration objective\n")
+        for stage, first in zip(result.stages, firsts):
+            dat.writelines(format_rows([first + np.arange(stage.objectives.size),
+                                        stage.objectives]))
     rows = [
         ("converged", result.converged),
         ("objective_init", functional(init, f, h)),

@@ -15,11 +15,12 @@ caps iterations and reports non-convergence instead of asserting existence.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldio import format_real
+from .fieldio import format_rows
 from .grids import (
     ScalarField,
     VectorField,
@@ -209,7 +210,9 @@ class StageLog:
     # "tol" (residual within the bound), "cap" (max_iterations reached) or
     # "zero-gradient" (the squared gradient norm is 0: no descent direction)
     stop_reason: str
-    history: tuple[tuple[int, float, float], ...]
+    # float64 arrays indexed by iteration 0..iterations
+    objectives: np.ndarray
+    residuals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -218,13 +221,17 @@ class MinimizeResult:
     converged: bool
     stages: tuple[StageLog, ...]
 
-    def log_text(self) -> str:
-        """Plain-text convergence log: stage, iteration, objective, residual."""
-        lines = ["stage iteration objective residual"]
+    def log_chunks(self):
+        """The convergence log a chunk at a time: stage iteration objective residual."""
+        yield "stage iteration objective residual\n"
         for snum, stage in enumerate(self.stages):
-            for it, obj, res in stage.history:
-                lines.append(f"{snum} {it} {format_real(obj)} {format_real(res)}")
-        return "\n".join(lines) + "\n"
+            steps = np.arange(stage.iterations + 1)
+            yield from format_rows([np.full_like(steps, snum), steps,
+                                    stage.objectives, stage.residuals])
+
+    def log_text(self) -> str:
+        """The whole convergence log, the join of `log_chunks`."""
+        return "".join(self.log_chunks())
 
 
 class _SmoothedObjective:
@@ -329,7 +336,7 @@ def minimize(f: VectorField, h: ScalarField | None, boundary: ScalarField,
         value, state = obj.value(u, eps)
         grad = obj.gradient(state)
         res = obj.residual(grad)
-        history = [(0, value, res)]
+        objectives, residuals = array("d", [value]), array("d", [res])
         it = 0
         while res > bound and it < opts.max_iterations:
             gnorm2 = float((grad * grad).sum())
@@ -357,7 +364,8 @@ def minimize(f: VectorField, h: ScalarField | None, boundary: ScalarField,
             u, value, grad = trial, trial_value, trial_grad
             it += 1
             res = obj.residual(grad)
-            history.append((it, value, res))
+            objectives.append(value)
+            residuals.append(res)
         converged = res <= bound
         if converged:
             stop_reason = "tol"
@@ -366,9 +374,10 @@ def minimize(f: VectorField, h: ScalarField | None, boundary: ScalarField,
         else:
             stop_reason = "zero-gradient"
         all_converged = all_converged and converged
-        stages.append(StageLog(eps=eps, iterations=it, objective=value,
-                               residual=res, converged=converged,
-                               stop_reason=stop_reason, history=tuple(history)))
+        stages.append(StageLog(eps=eps, iterations=it, objective=value, residual=res,
+                               converged=converged, stop_reason=stop_reason,
+                               objectives=np.array(objectives),
+                               residuals=np.array(residuals)))
 
     return MinimizeResult(field=ScalarField(domain, u), converged=all_converged,
                           stages=tuple(stages))

@@ -186,20 +186,50 @@ def test_csv_vector_headers(tmp_path, domain):
     assert path.read_text().splitlines()[0] == "x1,x2,v1,v2"
 
 
-def test_csv_write_peak_memory(tmp_path):
-    """`write_csv` holds one (nodes, columns) index and builds no coordinate
-    mesh whole. At 257^2, a seeded random vector field (a distinct value at
-    every node) peaks at 29.0 node arrays; stacking a list of per-column
-    indices and building both meshes took it to 39.7."""
-    d = build_domain(2, [0.1, 0.1], [1.3, 1.3], [257, 257])
-    field = VectorField(d, np.random.default_rng(0).standard_normal((2,) + d.counts))
+def _write_peak(write, field, path) -> int:
+    """tracemalloc's peak over one write, the field already built."""
     tracemalloc.start()
     try:
-        write_csv(field, tmp_path / "v.csv")
-        peak = tracemalloc.get_traced_memory()[1]
+        write(field, path)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36 * 8 * d.node_count
+
+
+def _distinct_fields(n: int) -> tuple[ScalarField, VectorField]:
+    """A seeded random scalar and vector field on n^2 nodes: a distinct value
+    at every node."""
+    d = build_domain(2, [0.1, 0.1], [1.3, 1.3], [n, n])
+    rng = np.random.default_rng(0)
+    return (ScalarField(d, rng.standard_normal(d.counts)),
+            VectorField(d, rng.standard_normal((2,) + d.counts)))
+
+
+def test_csv_write_peak_memory(tmp_path):
+    """`write_csv` holds one chunk of rows: its strings, and each value
+    column's distinct-value table for those rows. At 257^2, a seeded random
+    vector field peaks at 2.1 node arrays; a whole-write (nodes, columns)
+    index and whole-column tables took it to 29.0, and a list of per-column
+    indices and both coordinate meshes to 39.7."""
+    field = _distinct_fields(257)[1]
+    peak = _write_peak(write_csv, field, tmp_path / "v.csv")
+    assert peak < 3 * 8 * field.domain.node_count
+
+
+def test_write_peak_memory_does_not_grow_with_the_field(tmp_path):
+    """At 513^2, with a distinct value at every node, a `.pfld` write of a
+    scalar field and a CSV write of a vector field hold no more than at
+    257^2. Whole-block string tables and indices took them to 32.4 and
+    60.9 MB."""
+    peaks = {}
+    for n in (257, 513):
+        scalar, vector = _distinct_fields(n)
+        peaks[n] = (_write_peak(write_field, scalar, tmp_path / "s.pfld"),
+                    _write_peak(write_csv, vector, tmp_path / "v.csv"))
+    assert peaks[513][0] < 8e6
+    assert peaks[513][1] < 2e6
+    for small, large in zip(peaks[257], peaks[513]):
+        assert large <= 1.1 * small
 
 
 # --------------------------------------------------------------------------
@@ -338,19 +368,14 @@ def test_writers_match_value_by_value_layout_across_chunk_edges(tmp_path, monkey
 
 
 def test_pfld_write_peak_memory(tmp_path):
-    """A block's strings end with a space; only the values that end a line
-    get a newline variant. At 257^2, a seeded random scalar field (a distinct
-    value at every node) peaks at 15.4 node arrays; a newline variant of
-    every value took it to 24.0."""
-    d = build_domain(2, [0.1, 0.1], [1.3, 1.3], [257, 257])
-    field = ScalarField(d, np.random.default_rng(0).standard_normal(d.counts))
-    tracemalloc.start()
-    try:
-        write_field(field, tmp_path / "f.pfld")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 22 * 8 * d.node_count
+    """A block is written one chunk of lines at a time; a chunk's strings end
+    with a space, and only the values that end a line get a newline
+    variant. At 257^2, a seeded random scalar field (a distinct value at
+    every node) peaks at 8.1 node arrays; whole-block string tables took it
+    to 15.4, and a newline variant of every value to 24.0."""
+    field = _distinct_fields(257)[0]
+    peak = _write_peak(write_field, field, tmp_path / "f.pfld")
+    assert peak < 10 * 8 * field.domain.node_count
 
 
 def test_batched_formatting_matches_format_real():

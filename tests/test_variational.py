@@ -33,7 +33,8 @@ from parea.variational import (
     skew_transform,
     uniqueness_audit,
 )
-from parea.fieldio import read_field, write_field
+from parea import fieldio
+from parea.fieldio import format_real, read_field, write_field
 from parea.horizontal import curl_matrix, horizontal_normal
 from parea.integrability import classify_integrability
 from parea.scenarios import (
@@ -243,8 +244,7 @@ class TestMinimize:
         opts = MinimizeOptions(first_order_tol=1e-4, max_iterations=500)
         result = minimize(f, None, boundary, init, opts)
         for stage in result.stages:
-            objectives = [obj for _, obj, _ in stage.history]
-            diffs = np.diff(objectives)
+            diffs = np.diff(stage.objectives)
             assert np.all(diffs <= 1e-12)
 
     def test_mismatched_boundary_rejected(self):
@@ -361,6 +361,37 @@ def test_minimize_golden_digests(tmp_path):
                 digests[f"{out.name}/{artifact}"] = hashlib.sha256(
                     (out / artifact).read_bytes()).hexdigest()
     assert digests == json.loads(_MINIMIZE_GOLDEN.read_text())
+
+
+def test_stage_arrays_and_streamed_logs(tmp_path, monkeypatch):
+    """Each stage keeps its objectives and residuals as float64 arrays of
+    iterations + 1 values. `convergence.log` and `convergence.dat` match a
+    line-by-line `format_real` reference built from them, on a solve whose
+    later stages take 0 iterations, at any chunk size."""
+    data = builtin_scenario("random_smooth").build(9, 0)
+    result = minimize(data["f"], data.get("h"), data["u"], seeded_init(data["u"], 0),
+                      MinimizeOptions(first_order_tol=1e-3))
+    assert 0 in [stage.iterations for stage in result.stages]
+    log, dat, offset = ["stage iteration objective residual"], ["# iteration objective"], 0
+    for snum, stage in enumerate(result.stages):
+        for values, last in ((stage.objectives, stage.objective),
+                             (stage.residuals, stage.residual)):
+            assert values.dtype == np.float64 and values.shape == (stage.iterations + 1,)
+            assert values[-1] == last
+        for it, (obj, res) in enumerate(zip(stage.objectives, stage.residuals)):
+            log.append(f"{snum} {it} {format_real(obj)} {format_real(res)}")
+            dat.append(f"{offset + it} {format_real(obj)}")
+        offset += stage.iterations
+    expected = {"convergence.log": "\n".join(log) + "\n",
+                "convergence.dat": "\n".join(dat) + "\n"}
+    assert result.log_text() == expected["convergence.log"]
+    for chunk in (1, 3, fieldio._CHUNK_LINES):
+        monkeypatch.setattr(fieldio, "_CHUNK_LINES", chunk)
+        out = tmp_path / str(chunk)
+        assert main(["minimize", "--scenario", "random_smooth", "--resolution", "9",
+                     "--seed", "0", "--first-order-tol", "1e-3", "--out", str(out)]) == 0
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode()
 
 
 _MINIMIZE_ND_GOLDEN = Path(__file__).parent / "data" / "minimize_golden_nd_sha256.json"
