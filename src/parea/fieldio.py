@@ -31,14 +31,16 @@ newline variant where a value ends a line), so a chunk is written as one
 The reader streams the file: it decodes `_READ_CHUNK` bytes at a time as
 ASCII with universal newlines, parses the header, then splits each chunk
 of the body and converts its tokens with `float` into one preallocated
-array, carrying a token cut by a chunk edge into the next chunk. So any
-token `float` accepts (`1_0`, `+1e3`) is read as `float` reads it; tabs and
-blank lines separate values like spaces, and the file's text is never held
-whole. A wrong value count is reported before a bad token, and counts
-every token in the file; the array is allocated only when the file is
-large enough to hold the values its header declares. The kind line must
-be exactly `kind=<tag>`, or `kind=vector c=<m>`: a trailing token makes the
-header malformed. Every malformed file raises `FieldFormatError`.
+array, carrying a token cut by a chunk edge into the next chunk. A chunk
+whose first 512 tokens are at most half distinct calls `float` once per
+distinct token string, through a table kept for that chunk only. So any
+token `float` accepts (`1_0`, `+1e3`, `-0`) reads bit for bit as `float`
+reads it; tabs and blank lines separate values like spaces, and the text
+is never held whole. A wrong value count is reported before a bad token,
+and counts every token in the file; the array is allocated only when the
+file is large enough to hold the values its header declares. The kind line
+must be exactly `kind=<tag>`, or `kind=vector c=<m>`: a trailing token
+makes the header malformed. Every malformed file raises `FieldFormatError`.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ _HEADER_LINES = 6
 # Bytes read and decoded per step; bounds the text a read holds, whatever the
 # file size. The read-side twin of `_CHUNK_LINES`.
 _READ_CHUNK = 1 << 18
+# A chunk is converted through a table when at most this share of its first
+# `_TABLE_PROBE` tokens differ: a table of all-distinct tokens only costs time.
+_TABLE_PROBE = 512
+_TABLE_SHARE = 0.5
 # The one format of a real in every artifact; `%` applies it to many values
 # in one call.
 _REAL_FORMAT = "%.17g"
@@ -269,7 +275,12 @@ def _convert(tokens: list[str], out: np.ndarray) -> FieldFormatError | None:
     """Convert `tokens` with `float` into `out`; the error for the first one
     that is not a finite decimal, if any."""
     try:
-        out[:] = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+        if len(set(probe := tokens[:_TABLE_PROBE])) <= _TABLE_SHARE * len(probe):
+            table = {tok: float(tok) for tok in dict.fromkeys(tokens)}
+            converted = map(table.__getitem__, tokens)
+        else:
+            converted = map(float, tokens)
+        out[:] = np.fromiter(converted, dtype=np.float64, count=len(tokens))
     except ValueError:
         return _first_bad_token(tokens)
     if not np.isfinite(out).all():

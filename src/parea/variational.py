@@ -101,9 +101,9 @@ def first_variation(u: ScalarField, phi: ScalarField, f: VectorField,
                     tau: float = DEFAULT_SINGULAR_TOL) -> tuple[float, float]:
     """One-sided derivatives of eps -> functional(u + eps*phi) at 0.
 
-    Both sides share integral( nu . grad(phi) + H*phi ); the singular region
-    contributes +integral_S |grad(phi)| on the right and its negative on the
-    left, so right >= left with equality iff the mask is empty.
+    Both sides share integral( nu . grad(phi) + H*phi ); the singular set S
+    adds integral_S |grad(phi)| on the right and subtracts it on the left, so
+    right - left = 2 integral_S |grad(phi)| >= 0, zero iff grad(phi) = 0 on S.
     """
     domain = require_same_domain(u, phi, f)
     nu, mask, _ = horizontal_normal(u, f, tau)
@@ -210,9 +210,23 @@ class StageLog:
     # "tol" (residual within the bound), "cap" (max_iterations reached) or
     # "zero-gradient" (the squared gradient norm is 0: no descent direction)
     stop_reason: str
-    # float64 arrays indexed by iteration 0..iterations
+    # float64 arrays indexed by iteration 0..iterations, compared whole by `__eq__`
     objectives: np.ndarray
     residuals: np.ndarray
+
+    def _scalars(self) -> tuple:
+        return (self.eps, self.iterations, self.objective, self.residual,
+                self.converged, self.stop_reason)
+
+    def __eq__(self, other):
+        if not isinstance(other, StageLog):
+            return NotImplemented
+        return (self._scalars() == other._scalars()
+                and np.array_equal(self.objectives, other.objectives)
+                and np.array_equal(self.residuals, other.residuals))
+
+    def __hash__(self):
+        return hash(self._scalars())
 
 
 @dataclass(frozen=True)

@@ -452,6 +452,94 @@ def test_reader_uses_float_token_semantics(tmp_path, domain):
     assert np.signbit(values[2])
 
 
+# A few distinct token strings, spelled so that equal floats differ as text:
+# each chunk of a body made of them goes through the reader's token table.
+_REPEATED = ["0", "-0", "0.0", "1_0", "10", "+1e3", "1000", ".5", "-2.25", "1", "1.0"]
+_HEADER_40X50 = "PFLD 1\nm=2\ncounts=40 50\nlower=0 0\nupper=1 1\nkind=scalar\n"
+
+
+def _repeating_body(count: int) -> list[str]:
+    picks = np.random.default_rng(1).integers(len(_REPEATED), size=count)
+    return [_REPEATED[k] for k in picks]
+
+
+def _spaced(tokens) -> str:
+    """The tokens, each followed by a space, a tab, a newline or blank lines."""
+    separators = [" ", "\t", "\n", "\n\n \t\n", "  "]
+    picks = np.random.default_rng(2).integers(len(separators), size=len(tokens))
+    return "".join(tok + separators[k] for tok, k in zip(tokens, picks))
+
+
+def _count_float_calls(monkeypatch) -> list:
+    """The arguments of every `float` call `fieldio` makes from now on."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return float(x)
+
+    monkeypatch.setattr(fieldio, "float", counting, raising=False)
+    return calls
+
+
+def test_repeating_chunks_read_as_float_reads_each_token(tmp_path, monkeypatch):
+    """Through the token table, at any chunk size, every value has the bits
+    `float` gives its token: `-0` stays apart from `0`, `1_0` reads as 10."""
+    tokens = _repeating_body(2000)
+    path = tmp_path / "r.pfld"
+    path.write_text(_HEADER_40X50 + _spaced(tokens))
+    expected = np.array([float(t) for t in tokens]).tobytes()
+    calls = _count_float_calls(monkeypatch)
+    assert read_field(path).values.tobytes() == expected
+    # one chunk holds the whole body: one call per distinct token, and the
+    # four header reals
+    assert len(calls) <= len(_REPEATED) + 4
+    for chunk in (7, 64, 1000):  # tokens and blank lines cut by chunk edges
+        monkeypatch.setattr(fieldio, "_READ_CHUNK", chunk)
+        assert read_field(path).values.tobytes() == expected
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ("inf", "zap", "non-finite token 'inf'"),
+    ("zap", "nan", "bad numeric token 'zap'"),
+    ("-nan", "1e", "non-finite token '-nan'"),
+])
+def test_repeating_chunks_report_the_first_bad_token(tmp_path, monkeypatch, first,
+                                                      second, message):
+    """The first bad token in file order, even when the table converts a
+    later one first; a wrong count before either."""
+    tokens = _repeating_body(2000)
+    tokens[500], tokens[900] = first, second
+    path, short = tmp_path / "bad.pfld", tmp_path / "short.pfld"
+    path.write_text(_HEADER_40X50 + _spaced(tokens))
+    short.write_text(_HEADER_40X50 + _spaced(tokens[:-1]))
+    for chunk in (64, fieldio._READ_CHUNK):
+        monkeypatch.setattr(fieldio, "_READ_CHUNK", chunk)
+        with pytest.raises(FieldFormatError) as error:
+            read_field(path)
+        assert str(error.value) == message
+        with pytest.raises(FieldFormatError) as error:
+            read_field(short)
+        assert str(error.value) == "count mismatch: expected 2000 values, found 1999"
+
+
+def test_a_repeating_file_calls_float_once_per_distinct_token_a_chunk(tmp_path,
+                                                                     monkeypatch):
+    """heisenberg(3)'s F at 5^6: 93,750 tokens of a few distinct strings."""
+    field = builtin_scenario("heisenberg(3)").build(5)["f"]
+    path = tmp_path / "f.pfld"
+    write_field(field, path)
+    body = path.read_text().split("\n", 6)[6].split()
+    distinct = len(set(body))
+    # conversions: the body after the header, each chunk, the decoder's
+    # flush and the final space
+    steps = -(-path.stat().st_size // fieldio._READ_CHUNK) + 3
+    calls = _count_float_calls(monkeypatch)
+    assert read_field(path).values.tobytes() == field.values.tobytes()
+    assert len(calls) <= steps * distinct + 12  # 12 header reals
+    assert len(body) > 100 * (steps * distinct + 12)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(text=st.text(alphabet="ab =\n\t\v\f\x1c\x1d\x1e\x1f", max_size=40))
 def test_header_split_matches_splitlines(text):

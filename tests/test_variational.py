@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -163,6 +164,17 @@ class TestFirstVariation:
         mag = integrate(gradient(phi).norm())
         assert right - left == pytest.approx(2.0 * mag, abs=1e-10)
         assert right == pytest.approx(mag, abs=1e-10)
+
+    def test_full_mask_with_constant_phi_sides_agree(self):
+        # right - left = 2 integral_S |grad(phi)|: 0 on a full mask too
+        # when grad(phi) vanishes there
+        d = build_domain(2, [0, 0], [1, 1], [17, 17])
+        u = sample(d, lambda x, y: np.cos(x) + y * y)
+        f = VectorField(d, -gradient(u).values)
+        assert horizontal_normal(u, f)[1].all()
+        phi = sample(d, lambda x, y: 1.0 + 0 * x)
+        right, left = first_variation(u, phi, f)
+        assert right == left
 
     def test_unit_normal_pairing(self):
         d, f, u = rotation_setup(lower=(0.1, 0.0), n=65)
@@ -392,6 +404,23 @@ def test_stage_arrays_and_streamed_logs(tmp_path, monkeypatch):
                      "--seed", "0", "--first-order-tol", "1e-3", "--out", str(out)]) == 0
         for name, text in expected.items():
             assert (out / name).read_bytes() == text.encode()
+
+
+def test_stage_logs_compare_and_hash_by_value():
+    """Two identical solves give equal stages with equal hashes; one changed
+    objective in a stage's history makes it unequal."""
+    data = builtin_scenario("random_smooth").build(9, 0)
+    a, b = (minimize(data["f"], data.get("h"), data["u"], seeded_init(data["u"], 0),
+                     MinimizeOptions(first_order_tol=1e-3)) for _ in range(2))
+    assert a.stages == b.stages
+    assert [hash(s) for s in a.stages] == [hash(s) for s in b.stages]
+    stage = a.stages[0]
+    changed = stage.objectives.copy()
+    changed[-1] = np.nextafter(changed[-1], np.inf)
+    other = dataclasses.replace(stage, objectives=changed)
+    assert other != stage and stage != other
+    assert other == dataclasses.replace(stage, objectives=changed.copy())
+    assert stage != (stage.eps, stage.iterations)
 
 
 _MINIMIZE_ND_GOLDEN = Path(__file__).parent / "data" / "minimize_golden_nd_sha256.json"
@@ -685,6 +714,14 @@ class TestPeakMemory:
         # body peaks at 1.4
         d = build_domain(6, [-1.0] * 6, [1.0] * 6, [7] * 6)
         field = VectorField(d, np.random.default_rng(0).standard_normal((6,) + d.counts))
+        path = tmp_path / "f.pfld"
+        write_field(field, path)
+        assert self.peak(lambda: read_field(path)) <= 2.5 * field.values.nbytes
+
+    def test_read_field_peak_few_distinct(self, tmp_path):
+        # heisenberg(3)'s F at 7^6 holds 14 distinct tokens, so every chunk
+        # goes through its token table; the same bound holds
+        field = builtin_scenario("heisenberg(3)").build(7)["f"]
         path = tmp_path / "f.pfld"
         write_field(field, path)
         assert self.peak(lambda: read_field(path)) <= 2.5 * field.values.nbytes
