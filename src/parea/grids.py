@@ -386,8 +386,8 @@ def divergence(v: VectorField) -> ScalarField:
     domain = v.domain
     acc = axis_derivative(domain, v.values[0], 0)
     for k in range(1, domain.m):
-        acc = acc + axis_derivative(domain, v.values[k], k)
-    return ScalarField(domain, acc)
+        acc += axis_derivative(domain, v.values[k], k)
+    return ScalarField._adopt(domain, acc)
 
 
 # --------------------------------------------------------------------------

@@ -38,6 +38,7 @@ def _horizontal(w: ScalarField, f: VectorField
     its pointwise norm D, the squares summed one component at a time."""
     domain = require_same_domain(w, f)
     hat = gradient_values(domain, w.values)
+    del w  # w is not read again: a temporary handed over is freed here
     hat += f.values
     d = np.square(hat[0])
     for component in hat[1:]:
@@ -53,8 +54,8 @@ def weight(w: ScalarField, f: VectorField) -> ScalarField:
 
 def _singular_flags(d: np.ndarray, tau: float) -> np.ndarray:
     """Nodes where D < tau * field_scale(D), i.e. tau * max(1, max D) since D >= 0."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     return d < tau * max(1.0, float(d.max()))
 
 

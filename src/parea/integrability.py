@@ -60,7 +60,10 @@ def _frobenius_blocks(v: np.ndarray, e: np.ndarray):
     the normal's values v and the curl's upper-triangle entries e."""
     pos = index_positions(v.shape[0], 2)
     for k, i, j in triple_indices(v.shape[0]):
-        yield v[k] * e[pos[i, j]] - v[i] * e[pos[k, j]] + v[j] * e[pos[k, i]]
+        block = v[k] * e[pos[i, j]]  # (a - b) + c, summed in place
+        block -= v[i] * e[pos[k, j]]
+        block += v[j] * e[pos[k, i]]
+        yield block
 
 
 def _node_max(blocks: Iterable[np.ndarray], counts: tuple[int, ...]) -> np.ndarray:
@@ -105,13 +108,14 @@ def integrability_labels(mask: np.ndarray, blocks: Iterable[np.ndarray],
     its max |T| is below eta * field_scale(T). The max is taken one block at
     a time, so blocks streamed from `_frobenius_blocks` never form the whole
     tensor."""
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     tmax = _node_max(blocks, mask.shape)
     scale = field_scale(tmax)  # the max-norm of the tensor, read off tmax
-    labels = np.where(tmax < eta * scale, int(IntegrabilityLabel.INTEGRABLE),
-                      int(IntegrabilityLabel.NONINTEGRABLE))
-    return np.where(mask, int(IntegrabilityLabel.SINGULAR), labels).astype(np.int8)
+    labels = np.full(mask.shape, IntegrabilityLabel.NONINTEGRABLE, dtype=np.int8)
+    labels[tmax < eta * scale] = IntegrabilityLabel.INTEGRABLE
+    labels[mask] = IntegrabilityLabel.SINGULAR
+    return labels
 
 
 def classify_integrability(w: ScalarField, f: VectorField,
@@ -126,8 +130,8 @@ def classify_integrability(w: ScalarField, f: VectorField,
     residuals of truly integrable data from order-one values at the shipped
     resolutions; it is resolution dependent.
     """
-    if not (tau > 0 and eta > 0):  # refused before any tensor is formed
-        raise ValueError("tau and eta must be positive")
+    if not (0 < tau < np.inf and 0 < eta < np.inf):  # before any tensor is formed
+        raise ValueError("tau and eta must be positive and finite")
     nu, mask = horizontal_normal(w, f, tau)[:2]  # the weight is freed at once
     tensor = frobenius_tensor(nu, f)
     # node_max, read as a one-block tensor, has the same per-node max: one rule

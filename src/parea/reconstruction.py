@@ -382,16 +382,15 @@ def integrate_potential(u: VectorField, base: tuple[int, ...] | None = None,
     domain = u.domain
     base = integration_base(domain, base, tol, method)
     residual = closedness_residual(u)
-    scale = field_scale(u)
-    bound = tol * scale
-    abs_entries = np.abs(residual.values)
-    max_abs = float(abs_entries.max())
+    bound = tol * field_scale(u)
+    max_abs = residual.max_abs()  # no |residual| copy unless it is refused
     if max_abs > bound:
-        flat_pos = int(np.argmax(abs_entries))
+        flat_pos = int(np.argmax(np.abs(residual.values)))
         pair_pos, node_flat = divmod(flat_pos, domain.node_count)
         node = tuple(int(i) for i in np.unravel_index(node_flat, domain.counts))
         raise NotClosedError(max_abs=max_abs, pair=residual.indices[pair_pos],
                              node=node, bound=bound)
+    del residual
 
     if method == "staircase":
         forward = _staircase(domain, u.values, base, tuple(range(domain.m)))

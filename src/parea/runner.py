@@ -215,6 +215,12 @@ def _tau(config: ExperimentConfig) -> float:
     return config.tol if config.tol is not None else DEFAULT_SINGULAR_TOL
 
 
+def _thresholds(config: ExperimentConfig) -> None:
+    for name, value in (("tol", _tau(config)), ("eta", config.eta)):
+        if not 0 < value < np.inf:
+            raise ConfigError(f"{name} must be positive and finite")
+
+
 # --------------------------------------------------------------------------
 # Pipelines
 # --------------------------------------------------------------------------
@@ -417,15 +423,17 @@ class Operation:
 
 # One entry per operation; the CLI makes one subcommand of each, in this order.
 PIPELINES = {
-    "evaluate": Operation(_run_evaluate, ("tol",), ("u", "f"), ("h",)),
+    "evaluate": Operation(_run_evaluate, ("tol",), ("u", "f"), ("h",), check=_thresholds),
     # `seed` also seeds the start when no `init` is given
     "minimize": Operation(_run_minimize, ("seed", "max_iterations", "first_order_tol"),
                           ("f", "u"), ("h", "init"), check=_solver_options),
-    "check-integrability": Operation(_run_check_integrability, ("tol", "eta"), ("u", "f")),
+    "check-integrability": Operation(_run_check_integrability, ("tol", "eta"), ("u", "f"),
+                                     check=_thresholds),
     "reconstruct": Operation(_run_reconstruct, ("tol", "base", "method"), ("f",),
                              ("nu", "d", "u")),
     "rank-analysis": Operation(_run_rank_analysis, (), ("f",)),
-    "audit-uniqueness": Operation(_run_audit, ("tol", "eta"), ("u", "v", "f"), ("h",)),
+    "audit-uniqueness": Operation(_run_audit, ("tol", "eta"), ("u", "v", "f"), ("h",),
+                                  check=_thresholds),
     "scenario": Operation(_run_scenario, ("scenario", "seed", "resolution")),
     "variation-profile": Operation(_run_variation_profile, ("eps_points",),
                                    ("u", "v", "f"), ("h",), check=_eps_grid),

@@ -85,8 +85,8 @@ def _trig_series(domain: GridDomain, rng: np.random.Generator,
         phase = np.zeros(domain.counts)
         for axis, freq in enumerate(k):
             if freq:
-                phase = phase + freq * meshes[axis]
-        values = values + decay * (a * np.cos(phase) + b * np.sin(phase))
+                phase += freq * meshes[axis]
+        values += decay * (a * np.cos(phase) + b * np.sin(phase))
     return values
 
 

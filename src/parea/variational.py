@@ -454,10 +454,10 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     sup of the integrand is reported alongside)."""
     domain = require_same_domain(u, v, f)
     # one curl for the ranks and both classifications, whose labels stream
-    # the Frobenius blocks and so never hold a tensor; each large array is
-    # dropped once the last quantity read from it exists
+    # the Frobenius blocks and so never hold a tensor; each node array is
+    # dropped as soon as the last quantity read from it exists
     h_curl = curl_matrix(f)
-    ranks = pointwise_skew_rank(h_curl)
+    high_rank = pointwise_skew_rank(h_curl) >= 3
 
     # each candidate's functional reads the weight that came with its normal,
     # so the functional gap needs no kernel call of its own
@@ -474,40 +474,47 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     del h_curl
     joint = mask_u | mask_v
     off = ~joint
-
-    normal_diff = np.sqrt(np.sum((nu_u.values - nu_v.values) ** 2, axis=0))
-    del nu_u, nu_v
-    normal_diff = np.where(off, normal_diff, 0.0)
-    gu = gradient(u).values
-    gv = gradient(v).values
-    grad_diff = np.sqrt(np.sum((gu - gv) ** 2, axis=0))
-    direction = gv - gu
-    del gu, gv
-
-    rank_flags = (ranks >= 3) & off
-
+    rank_flags = high_rank & off
     nonintegrable = int(IntegrabilityLabel.NONINTEGRABLE)
     noninteg = ((labels_u == nonintegrable) | (labels_v == nonintegrable)) & off
+    del high_rank, labels_u, labels_v
+
+    normal_diff = nu_u.values - nu_v.values
+    del nu_u, nu_v
+    normal_diff = np.sqrt(np.sum(normal_diff ** 2, axis=0))
+    normal_diff = np.where(off, normal_diff, 0.0)
+    normal_max, normal_l1 = float(normal_diff.max()), integrate_values(domain, normal_diff)
+    del normal_diff
+    gu = gradient(u).values
+    direction = gradient(v).values - gu  # -(gu - gv) exactly, so the same squares
+    del gu
+    grad_diff = np.sqrt(np.sum(direction ** 2, axis=0))
+    gradient_max, gradient_l1 = float(grad_diff.max()), integrate_values(domain, grad_diff)
+    del grad_diff
 
     db = skew_divergence(f, a).values
     db_tol = 1e-12 * field_scale(db)
     sign = np.zeros(domain.counts, dtype=np.int8)
     sign[db > db_tol] = 1
     sign[db < -db_tol] = -1
+    del db
 
-    weights_arr = quadrature_weights(domain)
     ortho = 0.0
     ortho_pointwise = 0.0
     eps_masks = []
     for e in (0.0, 0.5, 1.0):
-        ue = ScalarField._adopt(domain, u.values + e * (v.values - u.values))
-        _, shifted, d = _horizontal(ue, f)  # one kernel for the transform and the mask
-        transformed = skew_transform(VectorField._adopt(domain, shifted), a).values
-        dots = np.einsum("k...,k...->...", transformed, direction)
-        ortho = max(ortho, abs(float(np.sum(weights_arr * dots))))
-        ortho_pointwise = max(ortho_pointwise, float(np.max(np.abs(dots))))
+        # one kernel for the transform and the mask; it frees u_eps once read
+        _, shifted, d = _horizontal(
+            ScalarField._adopt(domain, u.values + e * (v.values - u.values)), f)
         eps_masks.append((e, float(_singular_flags(d, tau).mean())))
-        del ue, shifted, d, transformed, dots  # before the next eps allocates
+        del d
+        transformed = skew_transform(VectorField._adopt(domain, shifted), a).values
+        del shifted
+        dots = np.einsum("k...,k...->...", transformed, direction)
+        del transformed
+        ortho = max(ortho, abs(float(np.sum(quadrature_weights(domain) * dots))))
+        ortho_pointwise = max(ortho_pointwise, float(np.max(np.abs(dots))))
+        del dots  # before the next eps allocates
 
     gap = abs(functional_u - functional_v)
 
@@ -515,10 +522,10 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     noninteg.setflags(write=False)
     sign.setflags(write=False)
     return UniquenessReport(
-        normal_max=float(normal_diff.max()),
-        normal_l1=integrate_values(domain, normal_diff),
-        gradient_max=float(grad_diff.max()),
-        gradient_l1=integrate_values(domain, grad_diff),
+        normal_max=normal_max,
+        normal_l1=normal_l1,
+        gradient_max=gradient_max,
+        gradient_l1=gradient_l1,
         rank_condition_flags=rank_flags,
         nonintegrable_flags=noninteg,
         divb_sign=sign,

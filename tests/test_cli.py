@@ -300,6 +300,29 @@ class TestOtherPipelines:
         assert code == int(ExitCode.CONFIG_ERROR)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", "--scenario", "example_2_2", "--tol", "inf"),
+        ("check-integrability", "--scenario", "heisenberg(2)", "--eta", "inf"),
+        ("check-integrability", "--scenario", "heisenberg(2)", "--tol", "inf"),
+        ("audit-uniqueness", "--scenario", "example_2_2", "--tol", "inf"),
+        ("audit-uniqueness", "--scenario", "example_2_2", "--eta", "inf"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_infinite_threshold_is_refused_up_front(self, tmp_path, capsys, argv):
+        # each exited 0: `--tol inf` masked every node and `--eta inf`
+        # labelled almost every node integrable
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--resolution", "5", "--out", str(out))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert not out.exists()
+        assert f"{argv[-2][2:]} must be positive and finite" in capsys.readouterr().out
+
+    def test_threshold_is_refused_before_any_input_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.pfld")
+        code = run_cli("evaluate", "--u", missing, "--f", missing, "--tol", "inf",
+                       "--out", str(tmp_path / "out"))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert "error: tol must be positive and finite" in capsys.readouterr().out
+
     def test_audit_odd_m_names_the_cause(self, tmp_path, capsys):
         d = build_domain(3, [0.0] * 3, [1.0] * 3, [5] * 3)
         u = sample(d, lambda x, y, z: x * y)

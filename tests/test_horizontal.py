@@ -92,6 +92,13 @@ class TestSingularSet:
         with pytest.raises(ValueError):
             horizontal_normal(u, f, 0.0)
 
+    @pytest.mark.parametrize("tau", [np.inf, np.nan, -1.0])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        # an infinite tau masked every node: singular_fraction read 1
+        d, f, u = rotation_pair(n=9)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            horizontal_normal(u, f, tau)
+
 
 def seeded_pair(m, n, seed):
     """A smooth (u, F) pair, and the same u with F = -grad(u) on the lower

@@ -171,6 +171,34 @@ class TestClassification:
         assert np.array_equal(labels, integrability_labels(mask, expected.blocks,
                                                            DEFAULT_CLASSIFY_TOL))
 
+    @pytest.mark.parametrize("tau, eta", [(np.inf, DEFAULT_CLASSIFY_TOL), (1e-6, np.inf),
+                                          (1e-6, np.nan)])
+    def test_thresholds_must_be_positive_and_finite(self, tau, eta):
+        # an infinite eta labelled almost every node integrable
+        d = unit_box(4, 5)
+        w = sample(d, lambda a, b, c, e: a * b + 0.3 * c)
+        with pytest.raises(ValueError, match="tau and eta must be positive and finite"):
+            classify_integrability(w, heisenberg_field(d), tau, eta)
+        mask = np.zeros(d.counts, dtype=bool)
+        if eta != DEFAULT_CLASSIFY_TOL:
+            with pytest.raises(ValueError, match="eta must be positive and finite"):
+                integrability_labels(mask, (np.ones(d.counts),), eta)
+
+    def test_labels_follow_the_threshold_rule(self):
+        # singular on the mask, else integrable iff max |T| < eta * field_scale(T);
+        # a NaN max is nonintegrable
+        rng = np.random.default_rng(4)
+        tmax = 3.0 * rng.random((9, 9))
+        tmax[0, 0], tmax[1, 1] = np.nan, 0.5 * field_scale(tmax)
+        mask = rng.random((9, 9)) < 0.3
+        labels = integrability_labels(mask, (tmax,), 0.5)
+        expected = np.where(mask, int(IntegrabilityLabel.SINGULAR),
+                            np.where(tmax < 0.5 * field_scale(tmax),
+                                     int(IntegrabilityLabel.INTEGRABLE),
+                                     int(IntegrabilityLabel.NONINTEGRABLE)))
+        assert labels.dtype == np.int8
+        assert np.array_equal(labels, expected)
+
     def test_full_rank_blocks_never_integrable(self):
         # rank-4 curl: no unit direction makes the tensor vanish anywhere
         d = unit_box(4, 5)

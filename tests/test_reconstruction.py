@@ -123,6 +123,20 @@ class TestIntegratePotential:
         assert info.value.pair == (2, 3)
         assert info.value.max_abs == pytest.approx(2.0, abs=1e-12)
 
+    def test_refusal_names_a_negative_largest_entry(self):
+        # curl entries h_02 = -2 x z^2 (2 + y) and h_12 = -x^2 z^2: the
+        # largest |entry| is negative and sits at the far corner only
+        d = build_domain(3, [0, 0, 0], [1, 1, 1], [5, 5, 5])
+        cand = sample_vector(d, [lambda x, y, z: 0 * x, lambda x, y, z: 0 * x,
+                                 lambda x, y, z: -x * x * z * z * (2 + y)])
+        entries = closedness_residual(cand).values
+        assert -entries.min() > entries.max()
+        with pytest.raises(NotClosedError) as info:
+            integrate_potential(cand)
+        assert info.value.max_abs == float(np.max(np.abs(entries))) == -entries.min()
+        assert info.value.pair == (0, 2)
+        assert info.value.node == (4, 4, 4)
+
     def test_gauge_base_change_constant(self):
         d = build_domain(2, [0.2, 0.2], [1.2, 1.2], [17, 17])
         from parea.grids import gradient
