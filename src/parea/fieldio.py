@@ -20,13 +20,16 @@ Values are written with 17 significant digits so a write/read round trip is
 lossless for IEEE doubles.
 
 Writers go through a field `_CHUNK_LINES` lines (or CSV rows) at a time, so
-a write holds one chunk, whatever the field size. A chunk of a block or CSV
-value column is reduced to its distinct float64 bit patterns (`-0.0`, "-0",
-stays apart from `0.0`), formatted in one `%` call; a CSV coordinate column
-is its axis's nodes, formatted once a write. Each string ends with the
-separator that follows it (a CSV comma or newline; a block's space, or a
-newline variant where a value ends a line), so a chunk is written as one
-`join`. The bytes are those of formatting every value in turn.
+a write holds one chunk, whatever the field size. As `"%.17g" % -x` is
+`"-" + "%.17g" % x` for every finite x >= 0 (`-0.0` too), a `.pfld` write
+formats each magnitude once while its string table, at most a chunk's worth
+and started over when full, holds it; a chunk of at most half distinct
+magnitudes takes variants of the strings for minus signs and line breaks,
+any other is formatted by one `%` call over a line template. A CSV value
+column's chunk is reduced to its distinct float64 bit patterns (`-0.0`,
+"-0", stays apart from `0.0`), formatted in one `%` call; a coordinate
+column is its axis's nodes, formatted once a write. The bytes are those of
+formatting every value in turn.
 
 The reader streams the file: it decodes `_READ_CHUNK` bytes at a time as
 ASCII with universal newlines, parses the header, then splits each chunk
@@ -74,13 +77,18 @@ _HEADER_LINES = 6
 # Bytes read and decoded per step; bounds the text a read holds, whatever the
 # file size. The read-side twin of `_CHUNK_LINES`.
 _READ_CHUNK = 1 << 18
-# A chunk is converted through a table when at most this share of its first
-# `_TABLE_PROBE` tokens differ: a table of all-distinct tokens only costs time.
+# A chunk goes through a table when at most this share of its values differ,
+# the reader's share of its first `_TABLE_PROBE` tokens, a `.pfld` write's of
+# its magnitudes: a table of all-distinct values only costs time.
 _TABLE_PROBE = 512
 _TABLE_SHARE = 0.5
 # The one format of a real in every artifact; `%` applies it to many values
 # in one call.
 _REAL_FORMAT = "%.17g"
+_MAGNITUDE = np.uint64(2 ** 63 - 1)  # every bit of a float64 but its sign
+# A `.pfld` chunk's strings are joined this many lines at a time, so that the
+# text and the list it is joined from stay small beside the string table.
+_JOIN_LINES = 512
 
 
 class FieldFormatError(ValueError):
@@ -107,13 +115,6 @@ def _distinct_strings(values, end: str) -> tuple[np.ndarray, np.ndarray]:
     flat = np.ravel(values).astype(np.float64, copy=False)
     bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
     return _strings(bits.view(np.float64), end), inverse
-
-
-def _write_lines(out, lines: int, chunk, *args) -> None:
-    """Write `lines` lines, `_CHUNK_LINES` at a time: `chunk(*args, start, stop)`
-    gives lines start..stop-1 as strings that carry their separators."""
-    for start in range(0, lines, _CHUNK_LINES):
-        out.write("".join(chunk(*args, start, min(start + _CHUNK_LINES, lines)).tolist()))
 
 
 def format_rows(columns):
@@ -150,22 +151,102 @@ def write_field(field, destination) -> None:
         "upper=" + " ".join(format_real(x) for x in domain.upper),
         _kind_line(type(field), domain.m),
     ]
+    step = _CHUNK_LINES * _VALUES_PER_LINE
+    table = _StringTable()
     with open(destination, "w", encoding="ascii") as out:
         out.write("\n".join(header) + "\n")
         for block in field.blocks:
-            _write_lines(out, -(-block.size // _VALUES_PER_LINE), _block_lines, block.flat)
+            for start in range(0, block.size, step):
+                out.writelines(_chunk_text(block.flat[start:start + step], table))
 
 
-def _block_lines(values, start: int, stop: int) -> np.ndarray:
-    """Lines start..stop-1 of a block's flat `values`. Every 8th value and the
-    last end a line: newline variants, made only for the values they hold."""
-    strings, index = _distinct_strings(
-        values[start * _VALUES_PER_LINE:stop * _VALUES_PER_LINE], " ")
+class _StringTable:
+    """A `.pfld` write's formatted magnitudes, at most a chunk's worth: sorted
+    float64 bit patterns, their strings each followed by a space, and a last
+    sentinel entry above every finite magnitude for a search to land on. The
+    first lookup gives both arrays their full length, so that the table then
+    grows in place instead of leaving freed arrays of every length in the
+    heap, where later commands' peaks would sit above them."""
+
+    def __init__(self):
+        self._bits, self._strings, self.size = np.array([_MAGNITUDE]), np.array([None]), 1
+
+    @property
+    def bits(self) -> np.ndarray:
+        return self._bits[:self.size]
+
+    @property
+    def strings(self) -> np.ndarray:
+        return self._strings[:self.size]
+
+    def strings_of(self, keys: np.ndarray) -> np.ndarray:
+        """The strings of sorted distinct magnitudes, formatting and keeping
+        those the table lacks."""
+        if self._bits.size == 1:
+            bound = _CHUNK_LINES * _VALUES_PER_LINE + 1
+            self._bits, self._strings = np.full(bound, _MAGNITUDE), np.empty(bound, object)
+        pos = np.searchsorted(self.bits, keys)
+        new = self.bits[pos] != keys
+        strings = np.empty(keys.size, object)
+        strings[~new] = self.strings[pos[~new]]
+        if self.size + new.sum() > self._bits.size:
+            # full: start over from this chunk's magnitudes, the rest dropped first
+            self._strings[:] = None
+            self.size = keys.size - new.sum() + 1
+            self._bits[:self.size] = np.append(keys[~new], _MAGNITUDE)
+            self._strings[:self.size - 1] = strings[~new]
+            pos = np.searchsorted(self.bits, keys)
+        strings[new] = _strings(keys[new].view(np.float64), " ")
+        size = self.size + new.sum()
+        self._bits[:size] = np.insert(self.bits, pos[new], keys[new])
+        self._strings[:size] = np.insert(self.strings, pos[new], strings[new])
+        self.size = size
+        return strings
+
+
+def _chunk_text(values: np.ndarray, table: _StringTable):
+    """The text of a chunk of a block's lines, in parts of `_JOIN_LINES`
+    lines; `values`, a fresh array, is overwritten. More than `_TABLE_SHARE`
+    distinct magnitudes go through a `%` template, fewer through the table's
+    strings."""
+    negative = np.signbit(values)
+    mags = values.view(np.uint64)
+    mags &= _MAGNITUDE
+    if table.bits.size <= values.size // _VALUES_PER_LINE and (
+            table.bits[index := np.searchsorted(table.bits, mags)] == mags).all():
+        strings = table.strings  # a small table that holds every value: no sort
+    else:
+        keys, index = np.unique(mags, return_inverse=True)
+        if keys.size > _TABLE_SHARE * values.size:
+            np.negative(values, out=values, where=negative)  # the signs back
+            yield _line_template(values.size) % tuple(values.tolist())
+            return
+        strings = table.strings_of(keys)
+    del mags, values  # the chunk's copy is read no more
+    strings, index = _variants(strings, index, negative, lambda s: "-" + s)
     ends = np.r_[_VALUES_PER_LINE - 1:index.size:_VALUES_PER_LINE, index.size - 1]
-    variants, which = np.unique(index[ends], return_inverse=True)
-    index[ends] = which + len(strings)
-    newline = "".join(strings[variants].tolist()).replace(" ", "\n").splitlines(True)
-    return np.concatenate([strings, np.array(newline, dtype=object)])[index]
+    strings, index = _variants(strings, index, ends, lambda s: np.array(
+        "".join(s.tolist()).replace(" ", "\n").splitlines(True), dtype=object))
+    step = _JOIN_LINES * _VALUES_PER_LINE
+    for start in range(0, index.size, step):
+        yield "".join(strings[index[start:start + step]].tolist())
+
+
+def _variants(strings, index, where, make):
+    """`strings` with `make(s)` appended for each s that `index[where]`
+    points at, and `index[where]` pointing at those."""
+    picked = index[where]
+    used = np.zeros(len(strings), bool)
+    used[picked] = True
+    index[where] = np.cumsum(used)[picked] + (len(strings) - 1)
+    return np.concatenate([strings, make(strings[used])]), index
+
+
+def _line_template(count: int) -> str:
+    """The `%` template of `count` values written 8 to a line."""
+    full, rest = divmod(count, _VALUES_PER_LINE)
+    line = " ".join([_REAL_FORMAT] * _VALUES_PER_LINE) + "\n"
+    return line * full + (" ".join([_REAL_FORMAT] * rest) + "\n" if rest else "")
 
 
 def _header_value(line: str, key: str) -> str:
@@ -340,15 +421,17 @@ def write_csv(field, destination) -> None:
     # a coordinate's strings are its axis's nodes, indexed by position: no sort
     axes = [_strings(domain.axis_nodes(k), ends[k]) for k in range(domain.m)]
 
-    def rows(start: int, stop: int) -> np.ndarray:
+    def rows(start: int) -> str:
+        stop = min(start + _CHUNK_LINES, domain.node_count)
         cells = np.empty((stop - start, columns), dtype=object)
         for k, pos in enumerate(np.unravel_index(np.arange(start, stop), domain.counts)):
             cells[:, k] = axes[k][pos]
         for k, block in enumerate(blocks, domain.m):
             strings, inverse = _distinct_strings(block.flat[start:stop], ends[k])
             cells[:, k] = strings[inverse]
-        return cells.reshape(-1)
+        return "".join(cells.reshape(-1).tolist())
 
     with open(destination, "w", encoding="ascii") as out:
         out.write(header + "\n")
-        _write_lines(out, domain.node_count, rows)
+        for start in range(0, domain.node_count, _CHUNK_LINES):
+            out.write(rows(start))

@@ -317,7 +317,8 @@ def sample_vector(domain: GridDomain, evaluators: Sequence[Callable]) -> VectorF
 # Stencils
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# One grid's axes at most: a process that meets many grids keeps the last ones.
+@lru_cache(maxsize=MAX_DIMENSION)
 def _derivative_matrix(n: int, h: float) -> np.ndarray:
     # Central differences inside, one-sided three-point rows on the faces.
     c = 0.5 / h
@@ -394,7 +395,7 @@ def divergence(v: VectorField) -> ScalarField:
 # Quadrature
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_DIMENSION)  # one grid's axes, as `_derivative_matrix`
 def _trapezoid_vector(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h

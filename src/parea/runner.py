@@ -82,7 +82,11 @@ class ExperimentConfig:
 def load_config(path) -> dict[str, str]:
     """Flat key=value text; '#' starts a comment, blank lines are skipped."""
     mapping: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

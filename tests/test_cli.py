@@ -450,6 +450,15 @@ class TestConfigFile:
         code = run_cli("scenario", "example_2_2", "--config", str(cfg))
         assert code == int(ExitCode.CONFIG_ERROR)
 
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"operation=scenario\n\xff\n")
+        code = run_cli("scenario", "example_2_2", "--config", str(cfg),
+                       "--out", str(tmp_path / "out"))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert f"{cfg}: not UTF-8 text: byte 0xff at offset 19" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("operation=scenario\nwhatever=1\n")

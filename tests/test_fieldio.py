@@ -368,14 +368,161 @@ def test_writers_match_value_by_value_layout_across_chunk_edges(tmp_path, monkey
 
 
 def test_pfld_write_peak_memory(tmp_path):
-    """A block is written one chunk of lines at a time; a chunk's strings end
-    with a space, and only the values that end a line get a newline
-    variant. At 257^2, a seeded random scalar field (a distinct value at
-    every node) peaks at 8.1 node arrays; whole-block string tables took it
-    to 15.4, and a newline variant of every value to 24.0."""
+    """A block is written one chunk of lines at a time. At 257^2, a seeded
+    random scalar field (a distinct value at every node) peaks at 5.3 node
+    arrays: its chunks are formatted by one `%` call over a line template,
+    with no string per value. Per-chunk string tables with newline variants
+    took it to 8.1 node arrays, whole-block string tables to 15.4, and a
+    newline variant of every value to 24.0."""
     field = _distinct_fields(257)[0]
     peak = _write_peak(write_field, field, tmp_path / "f.pfld")
-    assert peak < 10 * 8 * field.domain.node_count
+    assert peak < 6 * 8 * field.domain.node_count
+
+
+def _signed_pool_fields(pool: np.ndarray, seed: int) -> list:
+    """A scalar, a vector and an alt3 field whose values are ± values of
+    `pool`, drawn with a seeded generator."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for cls, m, n in ((ScalarField, 2, 23), (VectorField, 2, 17), (Alternating3Field, 4, 5)):
+        d = build_domain(m, [0.0] * m, [1.0] * m, [n] * m)
+        shape = cls.value_shape(d)
+        values = pool[rng.integers(0, pool.size, shape)] * rng.choice([-1.0, 1.0], shape)
+        fields.append(cls(d, values))
+    return fields
+
+
+_SUBNORMALS_AND_ZEROS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-320, sys.float_info.min]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(extra=st.lists(_REALS, min_size=0, max_size=6), seed=st.integers(0, 2 ** 32 - 1))
+def test_signed_pool_fields_match_value_by_value_layout(tmp_path, monkeypatch, extra, seed):
+    """Fields of ± values of a pool that holds both zeros and subnormals (so
+    `-0.0` and negative subnormals take minus variants of a magnitude's
+    string), written with chunks of 1, 3 and 4,096 lines: the string table
+    is shared by the file's chunks and blocks, and is started over when a
+    1- or 3-line chunk fills it."""
+    pool = np.array(_SUBNORMALS_AND_ZEROS + extra)
+    for chunk in (1, 3, fieldio._CHUNK_LINES):
+        monkeypatch.setattr(fieldio, "_CHUNK_LINES", chunk)
+        for field in _signed_pool_fields(pool, seed):
+            write_field(field, tmp_path / "f.pfld")
+            assert (tmp_path / "f.pfld").read_bytes() == _reference_pfld(field)
+
+
+def _count_paths(monkeypatch) -> dict:
+    """How often `write_field` formats a chunk by a line template, and how
+    often it goes through the string table's lookup."""
+    counts = {"template": 0, "table": 0}
+
+    def counted(name, call):
+        def wrapper(*args):
+            counts[name] += 1
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(fieldio, "_line_template",
+                        counted("template", fieldio._line_template))
+    monkeypatch.setattr(fieldio._StringTable, "strings_of",
+                        counted("table", fieldio._StringTable.strings_of))
+    return counts
+
+
+def test_repeating_and_all_distinct_chunks_alternate(tmp_path, monkeypatch):
+    """Within a block and across blocks, 4-line chunks alternate between
+    all-distinct values (a line template) and values from a small signed
+    pool (the string table, or no sort at all once the table holds the
+    pool); the bytes are those of the value-by-value writer."""
+    monkeypatch.setattr(fieldio, "_CHUNK_LINES", 4)
+    counts = _count_paths(monkeypatch)
+    d = build_domain(2, [0.0, 0.0], [1.0, 1.0], [13, 11])  # 143 values: 5 chunks a block
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((2, d.node_count))
+    pool = np.array([0.0, -0.0, 0.5, -0.5, 5e-324])
+    for k in range(2):
+        for c, start in enumerate(range(0, d.node_count, 32)):
+            if (c + k) % 2 == 0:
+                part = values[k, start:start + 32]
+                part[:] = pool[rng.integers(0, pool.size, part.size)]
+    field = VectorField(d, values.reshape((2,) + d.counts))
+    write_field(field, tmp_path / "f.pfld")
+    assert (tmp_path / "f.pfld").read_bytes() == _reference_pfld(field)
+    # 5 chunks all distinct; of the 5 repeating, the first and the 2-line
+    # last one of block 0 sort (the no-sort path needs a table of no more
+    # entries than the chunk has lines), and the 3 others do not
+    assert counts == {"template": 5, "table": 2}
+
+
+def test_a_full_table_starts_over(tmp_path, monkeypatch):
+    """With 1- and 3-line chunks the table's bound is 8 and 24 magnitudes.
+    Repeating chunks that bring new magnitudes fill it; it then starts over
+    from the chunk at hand, never holding more than its bound, and the bytes
+    are those of the value-by-value writer."""
+    sizes = []
+    lookup = fieldio._StringTable.strings_of
+
+    def recording(table, keys):
+        strings = lookup(table, keys)
+        sizes.append(table.bits.size - 1)  # the sentinel is no magnitude
+        return strings
+
+    monkeypatch.setattr(fieldio._StringTable, "strings_of", recording)
+    d = build_domain(3, [0.0] * 3, [1.0] * 3, [6, 5, 5])
+    rng = np.random.default_rng(8)
+    for chunk in (1, 3):
+        monkeypatch.setattr(fieldio, "_CHUNK_LINES", chunk)
+        bound = chunk * 8
+        # each chunk of `bound` values holds `bound // 4` magnitudes of its own
+        mags = np.arange(d.node_count * 3) // 4 * 0.125 + 1.0
+        signs = rng.choice([-1.0, 1.0], mags.size)
+        field = SkewField(d, (signs * mags).reshape((3,) + d.counts))
+        sizes.clear()
+        write_field(field, tmp_path / "f.pfld")
+        assert (tmp_path / "f.pfld").read_bytes() == _reference_pfld(field)
+        assert max(sizes) <= bound
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it started over
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bits=st.integers(0, 2 ** 63 - 1))
+def test_a_negative_value_is_its_magnitude_with_a_minus(bits):
+    """The identity the writer's sign folding rests on: for every finite
+    float64 x >= 0 (zero and subnormals included), `%.17g` of -x is "-"
+    followed by `%.17g` of x."""
+    x = float(np.uint64(bits).view(np.float64))
+    if math.isfinite(x):
+        assert "%.17g" % -x == "-" + "%.17g" % x
+        assert format_real(-x) == "-" + format_real(x)
+
+
+def _repeating_alt3(m: int, n: int) -> Alternating3Field:
+    """An alt3 field in m dimensions on n^m nodes whose 4,096-line chunks each
+    draw from 8,192 magnitudes of their own, with random signs: at most a
+    quarter of a chunk distinct, so every chunk goes through the string
+    table, which fills every fourth chunk and starts over."""
+    d = build_domain(m, [0.0] * m, [1.0] * m, [n] * m)
+    shape = Alternating3Field.value_shape(d)
+    rng = np.random.default_rng(m)
+    chunk = fieldio._CHUNK_LINES * 8
+    chunks = -(-d.node_count // chunk)  # a block's
+    own = (np.arange(shape[0])[:, None] * chunks + np.arange(d.node_count) // chunk)
+    own = own * (chunk // 4) + rng.integers(0, chunk // 4, own.shape)
+    values = (1.0 + own * 2.0 ** -20) * rng.choice([-1.0, 1.0], own.shape)
+    return Alternating3Field(d, values.reshape(shape))
+
+
+def test_string_table_peak_does_not_grow_with_blocks_or_size(tmp_path):
+    """The string table holds at most one chunk's magnitudes, so a repeating
+    alt3 field of 4 blocks (15^4 nodes, 0.2 M values) and one of 10 blocks
+    (11^5 nodes, 1.6 M values) peak alike, at 4.3 and 4.4 MB: the table at
+    its bound, one chunk's sort, variants and text."""
+    small = _repeating_alt3(4, 15)
+    large = _repeating_alt3(5, 11)
+    peaks = [_write_peak(write_field, f, tmp_path / "f.pfld") for f in (small, large)]
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert max(peaks) < 7e6
 
 
 def test_batched_formatting_matches_format_real():

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from parea import grids
 from parea.grids import (
+    MAX_DIMENSION,
     Alternating3Field,
     ScalarField,
     SkewField,
@@ -168,6 +170,23 @@ class TestGradient:
             assert np.array_equal(returned, expected)
             assert stacked[axis].tobytes() == expected.tobytes()
         assert gradient_values(d, values).tobytes() == stacked.tobytes()
+
+    def test_axis_caches_hold_one_grid(self):
+        # the derivative matrices and trapezoid vectors are cached per
+        # (count, spacing); after stencils and quadrature on 20 grids of
+        # distinct spacings each cache holds at most one grid's axes, and a
+        # matrix rebuilt after eviction is the same
+        first = build_domain(3, [0.0] * 3, [1.0, 1.5, 2.0], [5, 6, 7])
+        before = [grids.derivative_matrix(first, axis).copy() for axis in range(3)]
+        for k in range(20):
+            d = build_domain(2, [0.0, 0.0], [1.0 + 0.1 * k, 2.0], [5 + k, 9])
+            values = np.random.default_rng(k).standard_normal(d.counts)
+            gradient_values(d, values)
+            integrate(ScalarField(d, values))
+        for cache in (grids._derivative_matrix, grids._trapezoid_vector):
+            assert cache.cache_info().currsize <= MAX_DIMENSION
+        for axis in range(3):
+            assert np.array_equal(grids.derivative_matrix(first, axis), before[axis])
 
 
 class TestDivergence:
