@@ -79,7 +79,8 @@ _HEADER_LINES = 6
 _READ_CHUNK = 1 << 18
 # A chunk goes through a table when at most this share of its values differ,
 # the reader's share of its first `_TABLE_PROBE` tokens, a `.pfld` write's of
-# its magnitudes: a table of all-distinct values only costs time.
+# its magnitudes; a CSV column keeps its chunk's table for the next chunk on
+# the same share: a table of all-distinct values only costs time.
 _TABLE_PROBE = 512
 _TABLE_SHARE = 0.5
 # The one format of a real in every artifact; `%` applies it to many values
@@ -352,13 +353,20 @@ def _parse_header(lines: list[str]) -> tuple[type, GridDomain]:
     return cls, domain
 
 
+class _FloatTable(dict):
+    """A chunk's tokens and their floats, each converted on first sight."""
+
+    def __missing__(self, tok: str) -> float:
+        x = self[tok] = float(tok)
+        return x
+
+
 def _convert(tokens: list[str], out: np.ndarray) -> FieldFormatError | None:
     """Convert `tokens` with `float` into `out`; the error for the first one
     that is not a finite decimal, if any."""
     try:
         if len(set(probe := tokens[:_TABLE_PROBE])) <= _TABLE_SHARE * len(probe):
-            table = {tok: float(tok) for tok in dict.fromkeys(tokens)}
-            converted = map(table.__getitem__, tokens)
+            converted = map(_FloatTable().__getitem__, tokens)
         else:
             converted = map(float, tokens)
         out[:] = np.fromiter(converted, dtype=np.float64, count=len(tokens))
@@ -420,6 +428,8 @@ def write_csv(field, destination) -> None:
     ends = [","] * (columns - 1) + ["\n"]
     # a coordinate's strings are its axis's nodes, indexed by position: no sort
     axes = [_strings(domain.axis_nodes(k), ends[k]) for k in range(domain.m)]
+    # a value column's last sorted chunk: its distinct bit patterns and strings
+    tables = {}
 
     def rows(start: int) -> str:
         stop = min(start + _CHUNK_LINES, domain.node_count)
@@ -427,8 +437,18 @@ def write_csv(field, destination) -> None:
         for k, pos in enumerate(np.unravel_index(np.arange(start, stop), domain.counts)):
             cells[:, k] = axes[k][pos]
         for k, block in enumerate(blocks, domain.m):
-            strings, inverse = _distinct_strings(block.flat[start:stop], ends[k])
-            cells[:, k] = strings[inverse]
+            values = block.flat[start:stop]
+            keys = values.view(np.uint64)
+            bits, strings = tables.pop(k, (None, None))
+            if bits is not None:
+                index = np.searchsorted(bits[:-1], keys)  # lands on an entry
+            if bits is None or (bits[index] != keys).any():
+                strings, index = _distinct_strings(values, ends[k])
+                bits = np.empty(strings.size, np.uint64)
+                bits[index] = keys
+            if strings.size <= _TABLE_SHARE * keys.size:
+                tables[k] = bits, strings
+            cells[:, k] = strings[index]
         return "".join(cells.reshape(-1).tolist())
 
     with open(destination, "w", encoding="ascii") as out:

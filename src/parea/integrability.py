@@ -133,6 +133,7 @@ def classify_integrability(w: ScalarField, f: VectorField,
     if not (0 < tau < np.inf and 0 < eta < np.inf):  # before any tensor is formed
         raise ValueError("tau and eta must be positive and finite")
     nu, mask = horizontal_normal(w, f, tau)[:2]  # the weight is freed at once
+    del w  # a field handed over is freed before the curl is formed
     tensor = frobenius_tensor(nu, f)
     # node_max, read as a one-block tensor, has the same per-node max: one rule
     return integrability_labels(mask, (tensor.node_max,), eta), tensor

@@ -228,6 +228,8 @@ def _thresholds(config: ExperimentConfig) -> None:
 # --------------------------------------------------------------------------
 # Pipelines
 # --------------------------------------------------------------------------
+# A pipeline holds `data` alone, so it pops each field it hands over for good
+# and the callee frees that field at its last read.
 
 def _run_scenario(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode:
     if not config.scenario:
@@ -306,13 +308,14 @@ def _run_minimize(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitC
 
 def _run_check_integrability(config: ExperimentConfig, data: dict,
                              out: Artifacts) -> ExitCode:
-    w, f = data["u"], data["f"]
-    labels, tensor = classify_integrability(w, f, _tau(config), config.eta)
-    if w.domain.m > 2:  # the tensor re-forms its blocks one at a time
+    labels, tensor = classify_integrability(data.pop("u"), data.pop("f"),
+                                            _tau(config), config.eta)
+    domain = tensor.domain
+    if domain.m > 2:  # the tensor re-forms its blocks one at a time
         write_field(tensor, out("frobenius.pfld"))
     tensor_max = tensor.max_abs()
     del tensor  # its normal and curl are freed before the labels are written
-    label_field = ScalarField._adopt(w.domain, labels.astype(float))
+    label_field = ScalarField._adopt(domain, labels.astype(float))
     write_field(label_field, out("labels.pfld"))
     write_csv(label_field, out("labels.csv"))
     _write_summary(out, [
@@ -346,16 +349,18 @@ def _run_reconstruct(config: ExperimentConfig, data: dict, out: Artifacts) -> Ex
 
 
 def _run_rank_analysis(config: ExperimentConfig, data: dict, out: Artifacts) -> ExitCode:
-    h = curl_matrix(data["f"])
+    h = curl_matrix(data.pop("f"))
     ranks = pointwise_skew_rank(h)
     values, counts = np.unique(ranks, return_counts=True)
+    rank_min, rank_max = int(ranks.min()), int(ranks.max())
+    del ranks  # before the curl is written
     write_field(h, out("curl.pfld"))
     histogram = list(zip(values.tolist(), counts.tolist()))
     _write_rows(out("rank_histogram.csv"), "rank,count", histogram)
     _write_rows(out("rank_histogram.dat"), "# rank count", histogram, " ")
     _write_summary(out, [
-        ("rank_min", int(ranks.min())),
-        ("rank_max", int(ranks.max())),
+        ("rank_min", rank_min),
+        ("rank_max", rank_max),
         ("curl_max", h.max_abs()),
     ])
     return ExitCode.OK

@@ -451,11 +451,12 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     """Agreement metrics, per-node uniqueness-hypothesis flags, and the transformed
     orthogonality residual: the max over eps in {0, 1/2, 1} of the quadrature
     inner product |< (grad(u_eps) + F)^a , grad(v) - grad(u) >| (the pointwise
-    sup of the integrand is reported alongside)."""
+    sup of the integrand is reported alongside). Like every callee a pipeline
+    hands fields to, it frees each node array at its last read: the curl sits
+    beside one normal at a time, and u's is formed again for the difference."""
     domain = require_same_domain(u, v, f)
     # one curl for the ranks and both classifications, whose labels stream
-    # the Frobenius blocks and so never hold a tensor; each node array is
-    # dropped as soon as the last quantity read from it exists
+    # the Frobenius blocks and so never hold a tensor
     h_curl = curl_matrix(f)
     high_rank = pointwise_skew_rank(h_curl) >= 3
 
@@ -466,6 +467,7 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     del d
     labels_u = integrability_labels(
         mask_u, _frobenius_blocks(nu_u.values, h_curl.values), eta)
+    del nu_u  # formed again below, once the curl is gone
     nu_v, mask_v, d = horizontal_normal(v, f, tau)
     functional_v = _functional_from_weight(v, d.values, h)
     del d
@@ -479,8 +481,8 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     noninteg = ((labels_u == nonintegrable) | (labels_v == nonintegrable)) & off
     del high_rank, labels_u, labels_v
 
-    normal_diff = nu_u.values - nu_v.values
-    del nu_u, nu_v
+    normal_diff = horizontal_normal(u, f, tau)[0].values - nu_v.values
+    del nu_v
     normal_diff = np.sqrt(np.sum(normal_diff ** 2, axis=0))
     normal_diff = np.where(off, normal_diff, 0.0)
     normal_max, normal_l1 = float(normal_diff.max()), integrate_values(domain, normal_diff)

@@ -367,6 +367,35 @@ def test_writers_match_value_by_value_layout_across_chunk_edges(tmp_path, monkey
             assert (tmp_path / "f.csv").read_bytes() == _reference_csv(field)
 
 
+def test_csv_chunks_reuse_the_previous_table(tmp_path, monkeypatch):
+    """A CSV value column's chunk whose values all appear in that column's
+    last sorted chunk is looked up there, with no sort; a chunk with a value
+    the table lacks (a new value, or -0.0 beside 0.0) is sorted and becomes
+    the column's table, kept when at most half the chunk is distinct. The
+    bytes are those of the value-by-value writer."""
+    monkeypatch.setattr(fieldio, "_CHUNK_LINES", 10)
+    sorts = []
+    distinct = fieldio._distinct_strings
+
+    def counted(values, end):
+        sorts.append(end)
+        return distinct(values, end)
+
+    monkeypatch.setattr(fieldio, "_distinct_strings", counted)
+    d = build_domain(2, [0.0, 0.0], [1.0, 1.0], [10, 5])  # 5 chunks of two 5-node rows
+    first = np.array([[0.0, 0.5, 0.5, 0.25, 0.0],  # sorted
+                      [0.5, 0.0, 0.0, 0.5, 0.5],  # reused
+                      [0.5, -0.0, 0.25, 0.0, 0.0],  # -0.0 is new: sorted
+                      [-0.0, -0.0, 0.5, 0.25, 0.5],  # reused
+                      [1.0, 0.5, 0.5, 0.5, 0.25]])  # sorted
+    # each row is written twice, so a chunk is at most half distinct; the
+    # second column takes the chunks in reverse: sorted 3 times, reused twice
+    field = VectorField(d, np.stack([first, first[::-1]]).repeat(2, axis=1))
+    write_csv(field, tmp_path / "v.csv")
+    assert (tmp_path / "v.csv").read_bytes() == _reference_csv(field)
+    assert sorted(sorts) == ["\n"] * 3 + [","] * 3
+
+
 def test_pfld_write_peak_memory(tmp_path):
     """A block is written one chunk of lines at a time. At 257^2, a seeded
     random scalar field (a distinct value at every node) peaks at 5.3 node

@@ -414,12 +414,13 @@ class TestOneKernelCall:
         assert len(calls) == 1
 
     def test_uniqueness_audit(self, calls, data):
-        # two normals and three eps-interpolants; the functional gap reuses
-        # the two normals' weights
+        # two normals, the first formed again for the normal difference once
+        # the curl is freed, and three eps-interpolants; the functional gap
+        # reuses the two normals' weights
         u, f = data["u"], data["f"]
         v = ScalarField(u.domain, u.values + u.domain.meshes()[1])
         report = uniqueness_audit(u, v, f, None, pairwise_rotation(2))
-        assert len(calls) == 5
+        assert len(calls) == 6
         assert report.functional_gap == abs(functional(u, f) - functional(v, f))
 
 

@@ -19,7 +19,7 @@ def test_peak_by_command_reports_every_planar_command():
     subcommands = ["scenario", "reconstruct", "reconstruct", "evaluate", "audit-uniqueness"]
     assert len(lines) == 1 + len(subcommands)
     pattern = (r"(\d)-(\S+) +exit 0  cpu_s +[\d.]+  VmHWM +([\d.]+)  VmRSS +[\d.]+"
-               r"  traced_peak +[\d.]+ node arrays")
+               r"  traced_peak +[\d.]+ node arrays  at \w+\.py:[\w<>]+:\d+")
     hwm = []
     for i, (line, name) in enumerate(zip(lines[1:], subcommands)):
         match = re.fullmatch(pattern, line)

@@ -650,7 +650,9 @@ class TestPeakMemory:
     now drops each node array once the last quantity read from it exists,
     and a Frobenius block is summed in place (1.67 -> 1.62); at m = 2 on
     129^2 its peak fell from 16.2 to 8.9 node arrays, with the derivative
-    matrices cached."""
+    matrices cached. A classification now holds the curl beside one normal
+    only, the audit forming the first normal again for the difference, and
+    the pipelines free each input at its last read (audit 1.58 -> 1.28)."""
 
     @pytest.fixture(scope="class")
     def fields(self):
@@ -698,7 +700,27 @@ class TestPeakMemory:
     def test_uniqueness_audit_peak(self, fields):
         u, v, f, tensor_bytes = fields
         a = pairwise_rotation(6)
-        assert self.peak(lambda: uniqueness_audit(u, v, f, None, a)) <= 1.66 * tensor_bytes
+        assert self.peak(lambda: uniqueness_audit(u, v, f, None, a)) <= 1.35 * tensor_bytes
+
+    def test_heisenberg_checks_peak(self):
+        # at 7^6 (m = 6) the curl was kept beside the divergence (31.0 node
+        # arrays); it is now dropped once its rank is read (25.1)
+        scenario = builtin_scenario("heisenberg(3)")
+        node_bytes = 8 * scenario.domain(7).node_count
+        assert self.peak(lambda: scenario.run_checks(7)) <= 26.5 * node_bytes
+
+    def test_check_integrability_peak_at_size(self, tmp_path):
+        # the workload's files at 7^6: the pipeline held u and F through the
+        # classification and the Frobenius write (35.3 node arrays); it now
+        # hands them over and the classification frees u before the curl (31.2)
+        data = builtin_scenario("heisenberg(3)").build(7)
+        argv = ["check-integrability", "--out", str(tmp_path / "out")]
+        for key in ("u", "f"):
+            write_field(data[key], tmp_path / f"{key}.pfld")
+            argv += [f"--{key}", str(tmp_path / f"{key}.pfld")]
+        node_bytes = data["u"].values.nbytes
+        del data
+        assert self.peak(lambda: main(argv)) <= 32.5 * node_bytes
 
     def test_uniqueness_audit_peak_planar(self):
         # example_2_2 at 129^2 (m = 2: one curl entry, no Frobenius blocks):

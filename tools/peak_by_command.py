@@ -14,7 +14,8 @@ benchmark's `peak_rss_mb`).
 With `--trace` each command also runs under tracemalloc, and the line adds
 the command's traced peak above what was allocated before it, in node arrays
 (8 bytes a node of the command's scenario at its resolution, or of the
-workload's first command for a command that reads that one's files).
+workload's first command for a command that reads that one's files), and
+the `file:function:line` of `src/parea` that was running when it was reached.
 Tracing slows the commands and adds its own memory to VmHWM and VmRSS.
 """
 
@@ -31,6 +32,43 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SOURCE = str(ROOT / "src" / "parea")
+
+
+class PeakLine:
+    """Where a traced peak is reached: a line tracer on `src/parea` that reads
+    the peak at each event of a parea frame, resets it there, and keeps the
+    line that last ran before the highest one, callees outside parea counted
+    in their caller's line."""
+
+    def __init__(self):
+        self.peak, self.at, self._line = 0, None, None
+
+    def __enter__(self):
+        sys.settrace(self._call)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(None)
+        self._event(None, "exit", None)
+
+    def _call(self, frame, event, arg):
+        if frame.f_code.co_filename.startswith(SOURCE):
+            return self._event(frame, event, arg)
+        return None
+
+    def _event(self, frame, event, arg):
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > self.peak:
+            self.peak, self.at = peak, self._line
+        tracemalloc.reset_peak()
+        if event == "line":
+            self._line = frame.f_code, frame.f_lineno
+        return self._event
+
+    def where(self) -> str:
+        code, line = self.at
+        return f"{Path(code.co_filename).name}:{code.co_name}:{line}"
 
 
 def _status_mb(field: str) -> float:
@@ -91,15 +129,16 @@ def main(argv=None) -> int:
                 tracemalloc.start()
                 before = tracemalloc.get_traced_memory()[0]
             cpu = time.process_time()
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), (
+                    PeakLine() if args.trace else contextlib.nullcontext()) as peak:
                 code = parea.cli.main(cmd)
             cpu = time.process_time() - cpu
             line = (f"{i}-{command.subcommand:<20} exit {code}  cpu_s {cpu:6.3f}  "
                     f"VmHWM {_status_mb('VmHWM'):6.1f}  VmRSS {_status_mb('VmRSS'):6.1f}")
             if args.trace:
-                peak = tracemalloc.get_traced_memory()[1] - before
                 tracemalloc.stop()
-                line += f"  traced_peak {peak / _node_bytes(cmd, first_argv):6.2f} node arrays"
+                nodes = (peak.peak - before) / _node_bytes(cmd, first_argv)
+                line += f"  traced_peak {nodes:6.2f} node arrays  at {peak.where()}"
             print(line)
     return 0
 
