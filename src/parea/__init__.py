@@ -4,16 +4,22 @@
 pools of the numerical backends, overriding any inherited pool variable,
 because a BLAS split across threads changes the last bits of the artifacts.
 It must be applied before numpy loads, which is why it sits at the top of
-this module.
+this module. Only ASCII digits worth at least 1 are a thread count, handed
+on without leading zeros: OpenBLAS reads `0`, `-1` or `abc` as every core.
+Any other value gives the pools 1 and leaves the message `_threads_error`,
+with which the CLI exits 4.
 """
 
 import os as _os
 
-_threads = _os.environ.get("PAREA_THREADS") or "1"
+_value = _os.environ.get("PAREA_THREADS") or "1"
+_threads = _value.lstrip("0") if _value.isascii() and _value.isdigit() else ""
+_threads_error = None if _threads else (
+    f"PAREA_THREADS must be a whole number of at least 1, got {_value!r}")
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    _os.environ[_var] = _threads
-del _os, _threads, _var
+    _os.environ[_var] = _threads or "1"
+del _os, _value, _threads, _var
 
 from .grids import (
     Alternating3Field,

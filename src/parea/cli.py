@@ -5,13 +5,14 @@ Each subcommand takes `--config <key=value file>` (command-line flags win),
 operation reads in `runner.PIPELINES`; any other flag or key exits 4. Exit
 codes are shared: 0 ok, 2 assertion failure, 3 not closed, 4 I/O or config
 error, 5 solver non-convergence. `PAREA_THREADS` (default 1) sets internal
-parallelism.
+parallelism; a value that is not a whole number of at least 1 exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
 
+from . import _threads_error
 from .runner import (
     CONFIG_FIELDS,
     INPUT_KEYS,
@@ -81,6 +82,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if _threads_error:  # before any input is read or output written
+            raise ConfigError(_threads_error)
         config = config_from_mapping(_mapping_from_args(args))
     except (_ParserError, ConfigError, OSError) as exc:
         print(f"error: {exc}")

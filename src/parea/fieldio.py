@@ -20,16 +20,17 @@ Values are written with 17 significant digits so a write/read round trip is
 lossless for IEEE doubles.
 
 Writers go through a field `_CHUNK_LINES` lines (or CSV rows) at a time, so
-a write holds one chunk, whatever the field size. As `"%.17g" % -x` is
-`"-" + "%.17g" % x` for every finite x >= 0 (`-0.0` too), a `.pfld` write
-formats each magnitude once while its string table, at most a chunk's worth
-and started over when full, holds it; a chunk of at most half distinct
-magnitudes takes variants of the strings for minus signs and line breaks,
-any other is formatted by one `%` call over a line template. A CSV value
-column's chunk is reduced to its distinct float64 bit patterns (`-0.0`,
-"-0", stays apart from `0.0`), formatted in one `%` call; a coordinate
-column is its axis's nodes, formatted once a write. The bytes are those of
-formatting every value in turn.
+a write holds one chunk, whatever the field size. Both format each distinct
+float64 once while a `_StringTable` holds it: one table a `.pfld` file, of
+at most a chunk's worth of magnitudes (as `"%.17g" % -x` is
+`"-" + "%.17g" % x` for every finite x >= 0, `-0.0` too), and one a CSV value
+column, of at most `_CHUNK_LINES` bit patterns (`-0.0`, "-0", stays apart
+from `0.0`); a full table starts over. A chunk of at most half distinct
+values goes through its table, a `.pfld` one taking variants of the strings
+for minus signs and line breaks; any other is formatted by one `%` call,
+over a line template or the column's values. A coordinate column is its
+axis's nodes, formatted once a write. The bytes are those of formatting
+every value in turn.
 
 The reader streams the file: it decodes `_READ_CHUNK` bytes at a time as
 ASCII with universal newlines, parses the header, then splits each chunk
@@ -77,16 +78,17 @@ _HEADER_LINES = 6
 # Bytes read and decoded per step; bounds the text a read holds, whatever the
 # file size. The read-side twin of `_CHUNK_LINES`.
 _READ_CHUNK = 1 << 18
-# A chunk goes through a table when at most this share of its values differ,
-# the reader's share of its first `_TABLE_PROBE` tokens, a `.pfld` write's of
-# its magnitudes; a CSV column keeps its chunk's table for the next chunk on
-# the same share: a table of all-distinct values only costs time.
+# A chunk goes through a table when at most this share of its values differ:
+# the reader's share of its first `_TABLE_PROBE` tokens, a writer's of the
+# chunk's keys in its string table. A table of all-distinct values only
+# costs time.
 _TABLE_PROBE = 512
 _TABLE_SHARE = 0.5
 # The one format of a real in every artifact; `%` applies it to many values
 # in one call.
 _REAL_FORMAT = "%.17g"
 _MAGNITUDE = np.uint64(2 ** 63 - 1)  # every bit of a float64 but its sign
+_SENTINEL = np.uint64(2 ** 64 - 1)  # above every finite float64's bit pattern
 # A `.pfld` chunk's strings are joined this many lines at a time, so that the
 # text and the list it is joined from stay small beside the string table.
 _JOIN_LINES = 512
@@ -108,14 +110,6 @@ def _strings(values: np.ndarray, end: str) -> np.ndarray:
     template = _REAL_FORMAT + end if end == "\n" else _REAL_FORMAT + end + "\n"
     text = template * len(values) % tuple(values.tolist())
     return np.array(text.splitlines(end == "\n"), dtype=object)
-
-
-def _distinct_strings(values, end: str) -> tuple[np.ndarray, np.ndarray]:
-    """`(strings, inverse)`, `strings[inverse[n]]` the n-th value (flat C order)
-    followed by `end`; each distinct float64 bit pattern is formatted once."""
-    flat = np.ravel(values).astype(np.float64, copy=False)
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    return _strings(bits.view(np.float64), end), inverse
 
 
 def format_rows(columns):
@@ -153,7 +147,7 @@ def write_field(field, destination) -> None:
         _kind_line(type(field), domain.m),
     ]
     step = _CHUNK_LINES * _VALUES_PER_LINE
-    table = _StringTable()
+    table = _StringTable(step, " ")
     with open(destination, "w", encoding="ascii") as out:
         out.write("\n".join(header) + "\n")
         for block in field.blocks:
@@ -162,67 +156,65 @@ def write_field(field, destination) -> None:
 
 
 class _StringTable:
-    """A `.pfld` write's formatted magnitudes, at most a chunk's worth: sorted
-    float64 bit patterns, their strings each followed by a space, and a last
-    sentinel entry above every finite magnitude for a search to land on. The
-    first lookup gives both arrays their full length, so that the table then
-    grows in place instead of leaving freed arrays of every length in the
-    heap, where later commands' peaks would sit above them."""
+    """Formatted float64 values, at most `bound` of them: sorted bit patterns
+    under a last sentinel entry above every finite one, for a search to land
+    on, and each pattern's string followed by `end`. The first insertion
+    gives both arrays their full length, so that the table then grows in
+    place instead of leaving freed arrays of every length in the heap, where
+    later commands' peaks would sit above them."""
 
-    def __init__(self):
-        self._bits, self._strings, self.size = np.array([_MAGNITUDE]), np.array([None]), 1
+    def __init__(self, bound: int, end: str):
+        self.bound, self.end = bound, end
+        self._bits, self._strings, self.size = np.array([_SENTINEL]), np.array([None]), 1
 
-    @property
-    def bits(self) -> np.ndarray:
-        return self._bits[:self.size]
-
-    @property
-    def strings(self) -> np.ndarray:
-        return self._strings[:self.size]
-
-    def strings_of(self, keys: np.ndarray) -> np.ndarray:
-        """The strings of sorted distinct magnitudes, formatting and keeping
-        those the table lacks."""
+    def lookup(self, keys: np.ndarray):
+        """`(strings, index)`, `strings[index[n]]` the string of the bit pattern
+        `keys[n]`, or None when more than `_TABLE_SHARE` of the keys differ.
+        A table of at most an eighth as many entries as there are keys that
+        holds them all answers with no sort; otherwise the table formats and
+        keeps the keys it lacks, started over from these keys when full."""
+        bits, strings = self._bits[:self.size], self._strings[:self.size]
+        if 8 * self.size <= keys.size and (
+                bits[index := np.searchsorted(bits, keys)] == keys).all():
+            return strings, index
+        keys, index = np.unique(keys, return_inverse=True)
+        if keys.size > _TABLE_SHARE * index.size:
+            return None
         if self._bits.size == 1:
-            bound = _CHUNK_LINES * _VALUES_PER_LINE + 1
-            self._bits, self._strings = np.full(bound, _MAGNITUDE), np.empty(bound, object)
-        pos = np.searchsorted(self.bits, keys)
-        new = self.bits[pos] != keys
+            self._bits = np.full(self.bound + 1, _SENTINEL)
+            self._strings = np.empty(self.bound + 1, object)
+        pos = np.searchsorted(self._bits[:self.size], keys)
+        new = self._bits[pos] != keys
         strings = np.empty(keys.size, object)
-        strings[~new] = self.strings[pos[~new]]
+        strings[~new] = self._strings[pos[~new]]
         if self.size + new.sum() > self._bits.size:
-            # full: start over from this chunk's magnitudes, the rest dropped first
+            # full: start over from these keys, the rest dropped first
             self._strings[:] = None
             self.size = keys.size - new.sum() + 1
-            self._bits[:self.size] = np.append(keys[~new], _MAGNITUDE)
+            self._bits[:self.size] = np.append(keys[~new], _SENTINEL)
             self._strings[:self.size - 1] = strings[~new]
-            pos = np.searchsorted(self.bits, keys)
-        strings[new] = _strings(keys[new].view(np.float64), " ")
+            pos = np.searchsorted(self._bits[:self.size], keys)
+        strings[new] = _strings(keys[new].view(np.float64), self.end)
         size = self.size + new.sum()
-        self._bits[:size] = np.insert(self.bits, pos[new], keys[new])
-        self._strings[:size] = np.insert(self.strings, pos[new], strings[new])
+        self._bits[:size] = np.insert(self._bits[:self.size], pos[new], keys[new])
+        self._strings[:size] = np.insert(self._strings[:self.size], pos[new], strings[new])
         self.size = size
-        return strings
+        return strings, index
 
 
 def _chunk_text(values: np.ndarray, table: _StringTable):
     """The text of a chunk of a block's lines, in parts of `_JOIN_LINES`
-    lines; `values`, a fresh array, is overwritten. More than `_TABLE_SHARE`
-    distinct magnitudes go through a `%` template, fewer through the table's
-    strings."""
+    lines; `values`, a fresh array, is overwritten. A chunk whose magnitudes
+    the table refuses goes through a `%` template, any other through the
+    table's strings."""
     negative = np.signbit(values)
     mags = values.view(np.uint64)
     mags &= _MAGNITUDE
-    if table.bits.size <= values.size // _VALUES_PER_LINE and (
-            table.bits[index := np.searchsorted(table.bits, mags)] == mags).all():
-        strings = table.strings  # a small table that holds every value: no sort
-    else:
-        keys, index = np.unique(mags, return_inverse=True)
-        if keys.size > _TABLE_SHARE * values.size:
-            np.negative(values, out=values, where=negative)  # the signs back
-            yield _line_template(values.size) % tuple(values.tolist())
-            return
-        strings = table.strings_of(keys)
+    strings, index = table.lookup(mags) or (None, None)
+    if strings is None:
+        np.negative(values, out=values, where=negative)  # the signs back
+        yield _line_template(values.size) % tuple(values.tolist())
+        return
     del mags, values  # the chunk's copy is read no more
     strings, index = _variants(strings, index, negative, lambda s: "-" + s)
     ends = np.r_[_VALUES_PER_LINE - 1:index.size:_VALUES_PER_LINE, index.size - 1]
@@ -428,27 +420,17 @@ def write_csv(field, destination) -> None:
     ends = [","] * (columns - 1) + ["\n"]
     # a coordinate's strings are its axis's nodes, indexed by position: no sort
     axes = [_strings(domain.axis_nodes(k), ends[k]) for k in range(domain.m)]
-    # a value column's last sorted chunk: its distinct bit patterns and strings
-    tables = {}
+    tables = [_StringTable(_CHUNK_LINES, end) for end in ends[domain.m:]]
 
     def rows(start: int) -> str:
         stop = min(start + _CHUNK_LINES, domain.node_count)
         cells = np.empty((stop - start, columns), dtype=object)
         for k, pos in enumerate(np.unravel_index(np.arange(start, stop), domain.counts)):
             cells[:, k] = axes[k][pos]
-        for k, block in enumerate(blocks, domain.m):
+        for k, (block, table) in enumerate(zip(blocks, tables), domain.m):
             values = block.flat[start:stop]
-            keys = values.view(np.uint64)
-            bits, strings = tables.pop(k, (None, None))
-            if bits is not None:
-                index = np.searchsorted(bits[:-1], keys)  # lands on an entry
-            if bits is None or (bits[index] != keys).any():
-                strings, index = _distinct_strings(values, ends[k])
-                bits = np.empty(strings.size, np.uint64)
-                bits[index] = keys
-            if strings.size <= _TABLE_SHARE * keys.size:
-                tables[k] = bits, strings
-            cells[:, k] = strings[index]
+            strings, index = table.lookup(values.view(np.uint64)) or (None, None)
+            cells[:, k] = _strings(values, ends[k]) if strings is None else strings[index]
         return "".join(cells.reshape(-1).tolist())
 
     with open(destination, "w", encoding="ascii") as out:

@@ -97,6 +97,26 @@ class TestDeterminism:
         _fresh_interpreter_run(_THREADS_ARGV, one, PAREA_THREADS="1")
         _assert_same_artifacts(unset, one)
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-1", "1_0", " 1", "\u0661"])
+    def test_a_malformed_thread_count_exits_4_before_any_output(self, tmp_path, threads):
+        """OpenBLAS reads `abc`, `0` and `-1` as every core, and `1_0` as 1
+        where `int` reads 10: a `PAREA_THREADS` that is not ASCII digits worth
+        at least 1 exits 4, naming the variable, before any artifact (with
+        every core, `d.pfld` and `nu.csv` at 97^2 differ in the last bits)."""
+        out = tmp_path / "out"
+        message = _fresh_interpreter_run(_THREADS_ARGV, out, code=4, PAREA_THREADS=threads)
+        assert "PAREA_THREADS" in message
+        assert not out.exists()
+
+    def test_a_thread_count_reaches_the_pools_in_decimal(self, tmp_path):
+        """Leading zeros are dropped; a malformed value leaves the pools at 1."""
+        script = "import os, parea; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        for threads, pools in (("02", "2"), ("abc", "1"), ("0", "1")):
+            env = {**_thread_free_environment(), "PAREA_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  check=True, capture_output=True, text=True)
+            assert done.stdout.split() == [pools]
+
     def test_suite_runs_one_blas_thread(self, tmp_path):
         """`tests/conftest.py` loads parea before any test module loads
         numpy, so an in-process run uses the one BLAS thread of the `parea`
@@ -111,13 +131,22 @@ class TestDeterminism:
 _THREADS_ARGV = ("scenario", "smooth_roundtrip", "--resolution", "97")
 
 
-def _fresh_interpreter_run(argv, out, **env):
-    """`python -m parea.cli` with no thread variable but those in `env`."""
+def _thread_free_environment() -> dict:
+    """This environment without thread variables, importing this parea."""
     base = {k: v for k, v in os.environ.items()
             if k not in _THREAD_VARIABLES and k != "PAREA_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(sys.path)
-    subprocess.run([sys.executable, "-m", "parea.cli", *argv, "--out", str(out)],
-                   env={**base, **env}, check=True, capture_output=True)
+    return base
+
+
+def _fresh_interpreter_run(argv, out, code=0, **env):
+    """`python -m parea.cli` with no thread variable but those in `env`; its
+    output, once its exit code is checked to be `code`."""
+    done = subprocess.run([sys.executable, "-m", "parea.cli", *argv, "--out", str(out)],
+                          env={**_thread_free_environment(), **env},
+                          capture_output=True, text=True)
+    assert done.returncode == code, done.stdout + done.stderr
+    return done.stdout
 
 
 def _assert_same_artifacts(a, b):

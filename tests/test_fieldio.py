@@ -17,8 +17,8 @@ from parea import fieldio
 from parea.cli import main
 from parea.fieldio import (
     FieldFormatError,
-    _distinct_strings,
     _split_header,
+    _strings,
     format_real,
     read_field,
     write_csv,
@@ -216,6 +216,16 @@ def test_csv_write_peak_memory(tmp_path):
     assert peak < 3 * 8 * field.domain.node_count
 
 
+def test_few_distinct_csv_write_peak_memory(tmp_path):
+    """Each value column of a CSV write keeps its own string table, whose
+    arrays take 4,097 entries at its first insertion. The 12-column CSV of
+    `heisenberg(3)`'s F at 7^6 (14 distinct values) peaks at 2.2 MB in
+    tracemalloc, 0.4 MB above a writer that kept one chunk's table a
+    column."""
+    field = builtin_scenario("heisenberg(3)").build(7, 0)["f"]
+    assert _write_peak(write_csv, field, tmp_path / "f.csv") < 2.6e6
+
+
 def test_write_peak_memory_does_not_grow_with_the_field(tmp_path):
     """At 513^2, with a distinct value at every node, a `.pfld` write of a
     scalar field and a CSV write of a vector field hold no more than at
@@ -367,33 +377,79 @@ def test_writers_match_value_by_value_layout_across_chunk_edges(tmp_path, monkey
             assert (tmp_path / "f.csv").read_bytes() == _reference_csv(field)
 
 
-def test_csv_chunks_reuse_the_previous_table(tmp_path, monkeypatch):
-    """A CSV value column's chunk whose values all appear in that column's
-    last sorted chunk is looked up there, with no sort; a chunk with a value
-    the table lacks (a new value, or -0.0 beside 0.0) is sorted and becomes
-    the column's table, kept when at most half the chunk is distinct. The
-    bytes are those of the value-by-value writer."""
-    monkeypatch.setattr(fieldio, "_CHUNK_LINES", 10)
-    sorts = []
-    distinct = fieldio._distinct_strings
+def _count_formatted(monkeypatch) -> list:
+    """The `(count, end)` of each `fieldio._strings` call that formats a
+    value."""
+    calls = []
+    strings = fieldio._strings
 
     def counted(values, end):
-        sorts.append(end)
-        return distinct(values, end)
+        if len(values):
+            calls.append((len(values), end))
+        return strings(values, end)
 
-    monkeypatch.setattr(fieldio, "_distinct_strings", counted)
-    d = build_domain(2, [0.0, 0.0], [1.0, 1.0], [10, 5])  # 5 chunks of two 5-node rows
-    first = np.array([[0.0, 0.5, 0.5, 0.25, 0.0],  # sorted
-                      [0.5, 0.0, 0.0, 0.5, 0.5],  # reused
-                      [0.5, -0.0, 0.25, 0.0, 0.0],  # -0.0 is new: sorted
-                      [-0.0, -0.0, 0.5, 0.25, 0.5],  # reused
-                      [1.0, 0.5, 0.5, 0.5, 0.25]])  # sorted
-    # each row is written twice, so a chunk is at most half distinct; the
-    # second column takes the chunks in reverse: sorted 3 times, reused twice
-    field = VectorField(d, np.stack([first, first[::-1]]).repeat(2, axis=1))
+    monkeypatch.setattr(fieldio, "_strings", counted)
+    return calls
+
+
+def _count_sorts(monkeypatch) -> list:
+    """The `np.unique` calls a write makes: one a chunk that is sorted."""
+    sorts = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        sorts.append(len(args[0]))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    return sorts
+
+
+def _chunks_of(bases: np.ndarray, lines: int, shape) -> np.ndarray:
+    """Values whose `lines`-value chunks repeat the rows of `bases` in turn."""
+    return np.tile(bases, (1, lines // bases.shape[1])).reshape(shape)
+
+
+def test_csv_chunks_reuse_the_previous_table(tmp_path, monkeypatch):
+    """A CSV value column keeps one string table. A chunk whose values the
+    table, of at most an eighth as many entries as the chunk's rows, all
+    holds is looked up with no sort; a chunk with a value the table lacks (a
+    new value, or -0.0 beside 0.0) is sorted and only that value is
+    formatted. The bytes are those of the value-by-value writer."""
+    monkeypatch.setattr(fieldio, "_CHUNK_LINES", 64)
+    formatted = _count_formatted(monkeypatch)
+    d = build_domain(2, [0.0, 0.0], [1.0, 1.0], [10, 32])  # 5 chunks of two rows
+    first = np.array([[0.0, 0.5, 0.25, 0.0],  # sorted: 3 formatted
+                      [0.5, 0.0, 0.0, 0.5],  # held: no sort
+                      [0.5, -0.0, 0.25, 0.0],  # -0.0 is new: sorted, 1 formatted
+                      [-0.0, -0.0, 0.5, 0.25],  # held: no sort
+                      [1.0, 0.5, 0.5, 0.25]])  # 1.0 is new: sorted, 1 formatted
+    # the second column takes the chunks in reverse: sorted 3 times (3, 1
+    # and 1 formatted), then held twice
+    field = VectorField(d, np.stack([_chunks_of(first, 64, d.counts),
+                                     _chunks_of(first[::-1], 64, d.counts)]))
+    sorts = _count_sorts(monkeypatch)
     write_csv(field, tmp_path / "v.csv")
+    assert len(sorts) == 6
+    assert formatted == [(10, ","), (32, ","),  # the coordinate columns
+                         (3, ","), (3, "\n"), (1, "\n"), (1, ","), (1, "\n"), (1, ",")]
     assert (tmp_path / "v.csv").read_bytes() == _reference_csv(field)
-    assert sorted(sorts) == ["\n"] * 3 + [","] * 3
+
+
+def test_csv_values_seen_two_chunks_back_are_not_formatted_again(tmp_path, monkeypatch):
+    """A CSV value column's first and third chunks hold the same values (both
+    zeros among them) and its second others: the column's table still holds
+    the first chunk's strings at the third, so each value is formatted once.
+    A table of the last chunk only formatted 12 values."""
+    monkeypatch.setattr(fieldio, "_CHUNK_LINES", 64)
+    formatted = _count_formatted(monkeypatch)
+    d = build_domain(2, [0.0, 0.0], [1.0, 1.0], [6, 32])  # 3 chunks of two rows
+    bases = np.array([[0.0, -0.0, 0.5, 1.5], [2.5, -3.0, 0.25, 7.0],
+                      [0.0, -0.0, 0.5, 1.5]])
+    field = ScalarField(d, _chunks_of(bases, 64, d.counts))
+    write_csv(field, tmp_path / "f.csv")
+    assert sum(n for n, end in formatted if end == "\n") == 8
+    assert (tmp_path / "f.csv").read_bytes() == _reference_csv(field)
 
 
 def test_pfld_write_peak_memory(tmp_path):
@@ -430,21 +486,24 @@ _SUBNORMALS_AND_ZEROS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-320, sys.float
 def test_signed_pool_fields_match_value_by_value_layout(tmp_path, monkeypatch, extra, seed):
     """Fields of ± values of a pool that holds both zeros and subnormals (so
     `-0.0` and negative subnormals take minus variants of a magnitude's
-    string), written with chunks of 1, 3 and 4,096 lines: the string table
-    is shared by the file's chunks and blocks, and is started over when a
-    1- or 3-line chunk fills it."""
+    string in `.pfld`, and their own strings in CSV), written with chunks of
+    1, 3 and 4,096 lines: a `.pfld` string table is shared by the file's
+    chunks and blocks, a CSV one by a column's chunks, and either is started
+    over when 1- or 3-line chunks fill it."""
     pool = np.array(_SUBNORMALS_AND_ZEROS + extra)
     for chunk in (1, 3, fieldio._CHUNK_LINES):
         monkeypatch.setattr(fieldio, "_CHUNK_LINES", chunk)
         for field in _signed_pool_fields(pool, seed):
             write_field(field, tmp_path / "f.pfld")
             assert (tmp_path / "f.pfld").read_bytes() == _reference_pfld(field)
+            write_csv(field, tmp_path / "f.csv")
+            assert (tmp_path / "f.csv").read_bytes() == _reference_csv(field)
 
 
 def _count_paths(monkeypatch) -> dict:
-    """How often `write_field` formats a chunk by a line template, and how
-    often it goes through the string table's lookup."""
-    counts = {"template": 0, "table": 0}
+    """How often `write_field` formats a chunk by a line template, how often
+    it asks the string table, and the chunks sorted."""
+    counts = {"template": 0, "lookup": 0}
 
     def counted(name, call):
         def wrapper(*args):
@@ -454,8 +513,9 @@ def _count_paths(monkeypatch) -> dict:
 
     monkeypatch.setattr(fieldio, "_line_template",
                         counted("template", fieldio._line_template))
-    monkeypatch.setattr(fieldio._StringTable, "strings_of",
-                        counted("table", fieldio._StringTable.strings_of))
+    monkeypatch.setattr(fieldio._StringTable, "lookup",
+                        counted("lookup", fieldio._StringTable.lookup))
+    counts["sorts"] = _count_sorts(monkeypatch)
     return counts
 
 
@@ -465,7 +525,6 @@ def test_repeating_and_all_distinct_chunks_alternate(tmp_path, monkeypatch):
     pool (the string table, or no sort at all once the table holds the
     pool); the bytes are those of the value-by-value writer."""
     monkeypatch.setattr(fieldio, "_CHUNK_LINES", 4)
-    counts = _count_paths(monkeypatch)
     d = build_domain(2, [0.0, 0.0], [1.0, 1.0], [13, 11])  # 143 values: 5 chunks a block
     rng = np.random.default_rng(3)
     values = rng.standard_normal((2, d.node_count))
@@ -476,42 +535,49 @@ def test_repeating_and_all_distinct_chunks_alternate(tmp_path, monkeypatch):
                 part = values[k, start:start + 32]
                 part[:] = pool[rng.integers(0, pool.size, part.size)]
     field = VectorField(d, values.reshape((2,) + d.counts))
+    counts = _count_paths(monkeypatch)
     write_field(field, tmp_path / "f.pfld")
     assert (tmp_path / "f.pfld").read_bytes() == _reference_pfld(field)
-    # 5 chunks all distinct; of the 5 repeating, the first and the 2-line
-    # last one of block 0 sort (the no-sort path needs a table of no more
-    # entries than the chunk has lines), and the 3 others do not
-    assert counts == {"template": 5, "table": 2}
+    # every chunk asks the table; the 5 all-distinct ones sort and take a
+    # line template; of the 5 repeating, the first and the 2-line last one
+    # of block 0 sort (the no-sort path needs a table of no more entries
+    # than the chunk has lines), and the 3 others do not
+    assert counts["template"] == 5 and counts["lookup"] == 10
+    assert len(counts["sorts"]) == 5 + 2
 
 
 def test_a_full_table_starts_over(tmp_path, monkeypatch):
-    """With 1- and 3-line chunks the table's bound is 8 and 24 magnitudes.
-    Repeating chunks that bring new magnitudes fill it; it then starts over
-    from the chunk at hand, never holding more than its bound, and the bytes
-    are those of the value-by-value writer."""
-    sizes = []
-    lookup = fieldio._StringTable.strings_of
+    """With 2- and 3-line chunks a `.pfld` table's bound is 16 and 24
+    magnitudes, and a CSV column's 2 and 3 values. Repeating chunks that
+    bring new values fill a table; it then starts over from the chunk at
+    hand, never holding more than its bound, and the bytes are those of the
+    value-by-value writer."""
+    sizes = {}
+    lookup = fieldio._StringTable.lookup
 
     def recording(table, keys):
-        strings = lookup(table, keys)
-        sizes.append(table.bits.size - 1)  # the sentinel is no magnitude
-        return strings
+        found = lookup(table, keys)
+        sizes.setdefault(table, []).append(table.size - 1)  # the sentinel is no value
+        return found
 
-    monkeypatch.setattr(fieldio._StringTable, "strings_of", recording)
+    monkeypatch.setattr(fieldio._StringTable, "lookup", recording)
     d = build_domain(3, [0.0] * 3, [1.0] * 3, [6, 5, 5])
     rng = np.random.default_rng(8)
-    for chunk in (1, 3):
+    for chunk in (2, 3):
         monkeypatch.setattr(fieldio, "_CHUNK_LINES", chunk)
-        bound = chunk * 8
-        # each chunk of `bound` values holds `bound // 4` magnitudes of its own
-        mags = np.arange(d.node_count * 3) // 4 * 0.125 + 1.0
-        signs = rng.choice([-1.0, 1.0], mags.size)
-        field = SkewField(d, (signs * mags).reshape((3,) + d.counts))
-        sizes.clear()
-        write_field(field, tmp_path / "f.pfld")
-        assert (tmp_path / "f.pfld").read_bytes() == _reference_pfld(field)
-        assert max(sizes) <= bound
-        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it started over
+        # runs of 4 * chunk values share one signed value: a CSV chunk holds
+        # one value, a `.pfld` chunk two or three magnitudes
+        run = np.arange(d.node_count * 3) // (4 * chunk)
+        values = (run * 0.125 + 1.0) * rng.choice([-1.0, 1.0], run[-1] + 1)[run]
+        field = SkewField(d, values.reshape((3,) + d.counts))
+        for write, reference, bound in ((write_field, _reference_pfld, 8 * chunk),
+                                        (write_csv, _reference_csv, chunk)):
+            sizes.clear()
+            write(field, tmp_path / "f")
+            assert (tmp_path / "f").read_bytes() == reference(field)
+            assert max(max(s) for s in sizes.values()) <= bound
+            for s in sizes.values():  # every table started over
+                assert any(b < a for a, b in zip(s, s[1:]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -555,9 +621,10 @@ def test_string_table_peak_does_not_grow_with_blocks_or_size(tmp_path):
 
 
 def test_batched_formatting_matches_format_real():
-    """One `%` template over an array's distinct values gives the strings of
-    `format_real`, and of `format(x, ".17g")`, value by value, each followed
-    by the separator it was asked for."""
+    """One `%` template over an array's values, and a string table over a
+    column of them twice (half distinct, so the table takes it), give the
+    strings of `format_real`, and of `format(x, ".17g")`, value by value,
+    each followed by the separator it was asked for."""
     edges = _SPECIAL_REALS + [-sys.float_info.min, 1e16, 1e17, -1e17, 1 / 3,
                               2.0 ** 53 + 2, 123456789.0, 1e-300, 1e300]
     rng = np.random.default_rng(11)
@@ -566,10 +633,12 @@ def test_batched_formatting_matches_format_real():
     column = np.concatenate([edges, random[np.isfinite(random)]])
     for col in (column, column[::-1]):
         for end in (" ", ",", "\n"):
-            strings, inverse = _distinct_strings(col, end)
-            got = strings[inverse].tolist()
-            assert got == [format_real(x) + end for x in col]
-            assert got == [_reference_fmt(x) + end for x in col]
+            twice = np.concatenate([col, col])
+            strings, index = fieldio._StringTable(col.size, end).lookup(
+                twice.view(np.uint64))
+            for got in (_strings(col, end).tolist() * 2, strings[index].tolist()):
+                assert got == [format_real(x) + end for x in twice]
+                assert got == [_reference_fmt(x) + end for x in twice]
 
 
 _GOLDEN = Path(__file__).parent / "data" / "fieldio_golden_sha256.json"
