@@ -3,9 +3,9 @@
 Each subcommand takes `--config <key=value file>` (command-line flags win),
 `--out <dir>` for its artifacts, and a flag for each other config key its
 operation reads in `runner.PIPELINES`; any other flag or key exits 4. Exit
-codes are shared: 0 ok, 2 assertion failure, 3 not closed, 4 I/O or config
-error, 5 solver non-convergence. `PAREA_THREADS` (default 1) sets internal
-parallelism; a value that is not a whole number of at least 1 exits 4.
+codes are shared: 0 ok, 2 assertion failure, 3 not closed, 4 I/O, config or
+allocation error, 5 solver non-convergence. `PAREA_THREADS` (default 1) sets
+internal parallelism; a value that is not a whole number of at least 1 exits 4.
 """
 
 from __future__ import annotations

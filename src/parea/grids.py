@@ -78,12 +78,8 @@ class GridDomain:
         """True at nodes lying on any face of the box."""
         mask = np.zeros(self.counts, dtype=bool)
         for axis in range(self.m):
-            idx_lo = [slice(None)] * self.m
-            idx_lo[axis] = 0
-            idx_hi = [slice(None)] * self.m
-            idx_hi[axis] = self.counts[axis] - 1
-            mask[tuple(idx_lo)] = True
-            mask[tuple(idx_hi)] = True
+            faces = np.moveaxis(mask, axis, 0)  # a view: writes land in mask
+            faces[0] = faces[-1] = True
         return mask
 
 
@@ -248,7 +244,7 @@ class VectorField(_Field):
 
     def norm(self) -> ScalarField:
         """Pointwise Euclidean norm."""
-        return ScalarField(self.domain, np.sqrt(np.sum(self.values ** 2, axis=0)))
+        return ScalarField._adopt(self.domain, pointwise_norm(self.values))
 
 
 class SkewField(_Field):
@@ -271,6 +267,20 @@ class Alternating3Field(_Field):
     order, kind, column = 3, "alt3", "t_{}_{}_{}"
 
 
+def pointwise_norm(stack: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    """sqrt(sum_k stack[k]^2 + eps^2) at each node of a stack of node arrays,
+    adding the squares in axis order and then eps^2: the bits of
+    np.sqrt(np.sum(stack ** 2, axis=0)) at eps = 0 and of the solver's
+    s = p0*p0; s += pk*pk; s += eps*eps; sqrt(s) (squares are never -0.0, so
+    adding eps^2 = +0.0 changes no bit). Its only temporaries are the result
+    and one square at a time."""
+    out = np.square(stack[0])
+    for k in range(1, len(stack)):  # indexing: no slice view, for the solver
+        out += np.square(stack[k])
+    out += eps * eps
+    return np.sqrt(out, out=out)
+
+
 def field_scale(field) -> float:
     """max(1, max-norm of a field's stored values or of an array); relative
     tolerances use this."""
@@ -279,11 +289,10 @@ def field_scale(field) -> float:
 
 
 def require_same_domain(*fields) -> GridDomain:
-    domains = [f.domain for f in fields]
-    first = domains[0]
-    for d in domains[1:]:
-        if d != first:
-            raise ValueError("fields live on different domains")
+    """The domain all `fields` share, skipping None (an absent H)."""
+    first, *rest = (f.domain for f in fields if f is not None)
+    if any(d != first for d in rest):
+        raise ValueError("fields live on different domains")
     return first
 
 

@@ -2,10 +2,10 @@
 
 For a scalar field w and a vector field F, the weight is D = |grad(w) + F|
 and the horizontal normal is the unit field nu = (grad(w) + F) / D, defined
-off the singular set where D (nearly) vanishes. The curl matrix
-h_ij = d_i F_j - d_j F_i and the tangential operator
-delta_k = d_k - nu_k nu_j d_j tie the two together through a structure
-identity whose discrete residual is computed here.
+off the singular set where D (nearly) vanishes; `_horizontal` computes both,
+D as `grids.pointwise_norm`. The curl matrix h_ij = d_i F_j - d_j F_i and
+the tangential operator delta_k = d_k - nu_k nu_j d_j tie the two together
+through a structure identity whose discrete residual is computed here.
 
 Masked nodes always carry zeros rather than non-finite values; consumers
 must honour the mask.
@@ -26,6 +26,7 @@ from .grids import (
     gradient_values,
     index_positions,
     pair_indices,
+    pointwise_norm,
     require_same_domain,
 )
 
@@ -35,15 +36,12 @@ DEFAULT_SINGULAR_TOL = 1e-6
 def _horizontal(w: ScalarField, f: VectorField
                 ) -> tuple[GridDomain, np.ndarray, np.ndarray]:
     """The shared kernel: grad(w) + F, shape (m, *counts), built in place, and
-    its pointwise norm D, the squares summed one component at a time."""
+    the weight D, its `grids.pointwise_norm`: every weight is computed here."""
     domain = require_same_domain(w, f)
     hat = gradient_values(domain, w.values)
     del w  # w is not read again: a temporary handed over is freed here
     hat += f.values
-    d = np.square(hat[0])
-    for component in hat[1:]:
-        d += np.square(component)
-    return domain, hat, np.sqrt(d, out=d)
+    return domain, hat, pointwise_norm(hat)
 
 
 def weight(w: ScalarField, f: VectorField) -> ScalarField:

@@ -35,6 +35,7 @@ from .grids import (
     field_scale,
     gradient_values,
     index_positions,
+    pointwise_norm,
     require_same_domain,
     triple_indices,
 )
@@ -214,7 +215,7 @@ def renormalize_normal(nu: VectorField) -> VectorField:
     from disk are renormalized before use; a pointwise norm below 0.5 is an
     error (the data is not a unit field).
     """
-    norms = np.sqrt(np.sum(nu.values ** 2, axis=0))
+    norms = pointwise_norm(nu.values)
     if np.any(norms < 0.5):
         raise ValueError("normal field norm below 0.5; not a unit field")
     return VectorField(nu.domain, nu.values / norms)

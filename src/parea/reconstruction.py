@@ -24,6 +24,7 @@ from .grids import (
     VectorField,
     derivative_matrix,
     field_scale,
+    pointwise_norm,
     require_same_domain,
 )
 from .horizontal import DEFAULT_SINGULAR_TOL, curl_matrix, horizontal_normal
@@ -432,7 +433,9 @@ def verify_normal(u: ScalarField, nu: VectorField, d: ScalarField,
     domain = require_same_domain(u, nu, d, f)
     computed_nu, mask, computed_d = horizontal_normal(u, f, tau)
     off = ~mask
-    diff = np.sqrt(np.sum((computed_nu.values - nu.values) ** 2, axis=0))
+    diff = computed_nu.values - nu.values
+    del computed_nu  # freed before the difference's norm allocates
+    diff = pointwise_norm(diff)
     normal_err = float(diff[off].max()) if off.any() else 0.0
     wdiff = np.abs(computed_d.values - d.values) / field_scale(d)
     weight_err = float(wdiff[off].max()) if off.any() else 0.0

@@ -466,7 +466,7 @@ def run(config: ExperimentConfig) -> int:
         print(f"solver diverged: {exc}")
         return int(ExitCode.SOLVER_FAILURE)
     # ConfigError, FieldFormatError and UnknownScenarioError are ValueErrors
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}")
         return int(ExitCode.CONFIG_ERROR)
     return int(code)

@@ -264,10 +264,8 @@ def _build_curl_ok_contraction_fails(domain: GridDomain, seed: int) -> dict:
 
 def _check_curl_ok_contraction_fails(data: dict) -> list[CheckOutcome]:
     nu, d, f = data["nu"], data["d"], data["f"]
-    curl_res = tangential_curl_residual(nu, d, f)
-    cmax = float(np.max(np.abs(curl_res.values)))
-    contraction = normal_contraction_residual(nu, d, f)
-    norms = np.sqrt(np.sum(contraction.values ** 2, axis=0))
+    cmax = float(np.max(np.abs(tangential_curl_residual(nu, d, f).values)))
+    norms = normal_contraction_residual(nu, d, f).norm().values
     return [
         _leq("tangential-curl-residual", cmax, 1e-12),
         _leq("contraction-norm-one", float(np.max(np.abs(norms - 1.0))), 1e-10,

@@ -31,6 +31,7 @@ from .grids import (
     gradient_values,
     integrate_values,
     pair_indices,
+    pointwise_norm,
     quadrature_weights,
     require_same_domain,
 )
@@ -90,7 +91,7 @@ def _functional_from_weight(u: ScalarField, d: np.ndarray,
                            h: ScalarField | None) -> float:
     """`functional` from the weight values d = |grad(u) + F| of u, for a
     caller that holds them already."""
-    domain = u.domain if h is None else require_same_domain(u, h)
+    domain = require_same_domain(u, h)
     if h is not None:
         d = d + h.values * u.values
     return integrate_values(domain, d)
@@ -105,15 +106,13 @@ def first_variation(u: ScalarField, phi: ScalarField, f: VectorField,
     adds integral_S |grad(phi)| on the right and subtracts it on the left, so
     right - left = 2 integral_S |grad(phi)| >= 0, zero iff grad(phi) = 0 on S.
     """
-    domain = require_same_domain(u, phi, f)
+    domain = require_same_domain(u, phi, f, h)
     nu, mask, _ = horizontal_normal(u, f, tau)
     gphi = gradient(phi).values
     common = np.einsum("k...,k...->...", nu.values, gphi)
     if h is not None:
-        require_same_domain(u, h)
         common = common + h.values * phi.values
-    mag = np.sqrt(np.sum(gphi ** 2, axis=0))
-    singular_part = integrate_values(domain, np.where(mask, mag, 0.0))
+    singular_part = integrate_values(domain, np.where(mask, pointwise_norm(gphi), 0.0))
     base = integrate_values(domain, common)
     return base + singular_part, base - singular_part
 
@@ -261,12 +260,11 @@ class _SmoothedObjective:
     A solve makes tens of thousands of these calls on arrays of a few
     thousand nodes, so call overhead outweighs arithmetic: they work in
     place, reduce through ndarray methods and zero the boundary rows through
-    a flat index computed once. The floating-point operations and their
-    order are those of the plain expressions (|p|^2 is summed over the
-    components in axis order, as np.sum(p * p, axis=0) does), so every
-    iterate is bit for bit the same. Each stencil still goes through
-    `grids.axis_derivative` or `axis_derivative_adjoint` by its module-level
-    name, where `perfbench` counts stencil calls.
+    a flat index computed once. s is `grids.pointwise_norm`, the kernel of
+    every weight, and the rest keeps the plain expressions' operations in
+    their order, so every iterate is bit for bit the same. Each stencil goes
+    through `grids.axis_derivative` or `axis_derivative_adjoint` by its
+    module-level name, where `perfbench` counts stencil calls.
     """
 
     def __init__(self, f: VectorField, h: ScalarField | None):
@@ -280,14 +278,9 @@ class _SmoothedObjective:
 
     def value(self, u: np.ndarray, eps: float
               ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        # p = grad(u) + F;  s = sqrt(sum_k p_k^2 + eps^2)
         p = gradient_values(self.domain, u)
         p += self.f_values
-        s = p[0] * p[0]
-        for k in range(1, self.domain.m):
-            s += p[k] * p[k]
-        s += eps * eps
-        np.sqrt(s, out=s)
+        s = pointwise_norm(p, eps)
         total = s if self.h_values is None else s + self.h_values * u
         return float((self.weights * total).sum()), (p, s)
 
@@ -329,8 +322,7 @@ def minimize(f: VectorField, h: ScalarField | None, boundary: ScalarField,
     recorded objective sequence is non-increasing within every stage.
     """
     opts = opts or MinimizeOptions()
-    domain = require_same_domain(f, boundary, init) if h is None else \
-        require_same_domain(f, boundary, init, h)
+    domain = require_same_domain(f, boundary, init, h)
     obj = _SmoothedObjective(f, h)
     bmask = obj.boundary
     if not np.array_equal(init.values[bmask], boundary.values[bmask]):
@@ -483,14 +475,13 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
 
     normal_diff = horizontal_normal(u, f, tau)[0].values - nu_v.values
     del nu_v
-    normal_diff = np.sqrt(np.sum(normal_diff ** 2, axis=0))
-    normal_diff = np.where(off, normal_diff, 0.0)
+    normal_diff = np.where(off, pointwise_norm(normal_diff), 0.0)
     normal_max, normal_l1 = float(normal_diff.max()), integrate_values(domain, normal_diff)
     del normal_diff
     gu = gradient(u).values
     direction = gradient(v).values - gu  # -(gu - gv) exactly, so the same squares
     del gu
-    grad_diff = np.sqrt(np.sum(direction ** 2, axis=0))
+    grad_diff = pointwise_norm(direction)
     gradient_max, gradient_l1 = float(grad_diff.max()), integrate_values(domain, grad_diff)
     del grad_diff
 

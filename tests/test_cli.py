@@ -14,7 +14,7 @@ import pytest
 import parea.cli
 from parea.cli import main
 from parea.fieldio import read_field, write_field
-from parea.grids import build_domain, sample, sample_vector
+from parea.grids import GridDomain, build_domain, sample, sample_vector
 from parea.horizontal import horizontal_normal
 from parea.integrability import IntegrabilityLabel, classify_integrability, frobenius_tensor
 from parea.runner import (
@@ -423,6 +423,26 @@ class TestOtherPipelines:
                        "--resolution", "9", *flag, "--out", str(tmp_path))
         assert code == int(ExitCode.CONFIG_ERROR)
         assert not (tmp_path / "minimizer.pfld").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "example_2_2", "--resolution", "1000000"],
+        ["variation-profile", "--scenario", "example_2_2", "--resolution", "9"]])
+    def test_a_size_that_cannot_be_allocated_exits_4(self, tmp_path, capsys,
+                                                     monkeypatch, argv):
+        # numpy raises a MemoryError subclass naming the size; a real
+        # terabyte request is not made, since overcommit may grant it
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+        def unallocatable(self):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(GridDomain, "meshes", unallocatable)
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        out = capsys.readouterr()
+        assert f"error: {message}" in out.out
+        assert "Traceback" not in out.out + out.err
+        assert not (tmp_path / "out").exists()
 
     def test_failing_scenario_assertion_exit_code(self, tmp_path, monkeypatch):
         import parea.runner as runner_mod

@@ -355,3 +355,58 @@ class TestFieldContainers:
             finally:
                 tracemalloc.stop()
             assert peak < 0.1 * h.values.nbytes
+
+
+def _spread_stack(m: int, seed: int) -> np.ndarray:
+    """m components on 5^m nodes, magnitudes over 1e-8..1e8, with -0.0,
+    subnormals and components whose squares overflow to inf."""
+    rng = np.random.default_rng(seed)
+    shape = (m,) + (5,) * m
+    stack = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    flat = stack.reshape(m, -1)
+    flat[:, 0] = -0.0
+    flat[:, 1] = [5e-324, -1e-310] * (m // 2) + [2.2e-308] * (m % 2)
+    flat[0, 2] = 1e200
+    flat[1, 3] = -1e300
+    flat[:, 4] = 1.5e154  # each square is finite, their sum is not
+    return stack
+
+
+class TestPointwiseNorm:
+    @pytest.mark.parametrize("m", range(MAX_DIMENSION - 4, MAX_DIMENSION + 1))
+    def test_bits_of_the_sum_of_squares(self, m):
+        stack = _spread_stack(m, m)
+        with np.errstate(over="ignore"):
+            got = grids.pointwise_norm(stack)
+            assert got.tobytes() == np.sqrt(np.sum(stack ** 2, axis=0)).tobytes()
+        assert got.shape == stack.shape[1:]
+        flat = got.reshape(-1)
+        assert flat[0] == 0.0 and not np.signbit(flat[0])
+        assert np.isinf(flat[2:5]).all()
+
+    @pytest.mark.parametrize("m", range(MAX_DIMENSION - 4, MAX_DIMENSION + 1))
+    @pytest.mark.parametrize("eps", [1e-9, 0.25, 3.0])
+    def test_bits_of_the_smoothed_norm(self, m, eps):
+        """With eps > 0, the solver's s = p0*p0; s += pk*pk; s += eps*eps."""
+        p = _spread_stack(m, 10 + m)
+        with np.errstate(over="ignore"):
+            s = p[0] * p[0]
+            for k in range(1, m):
+                s += p[k] * p[k]
+            s += eps * eps
+            np.sqrt(s, out=s)
+            assert grids.pointwise_norm(p, eps).tobytes() == s.tobytes()
+
+    def test_norm_holds_two_node_arrays(self):
+        """A 6-component 7^6 field's norm allocates its result and one
+        scratch array, where np.sqrt(np.sum(v ** 2, axis=0)) holds 7."""
+        d = build_domain(6, [0.0] * 6, [1.0] * 6, [7] * 6)
+        v = VectorField(d, np.random.default_rng(0).standard_normal((6,) + d.counts))
+        tracemalloc.start()
+        try:
+            norm = v.norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm.values.tobytes() == np.sqrt(np.sum(v.values ** 2, axis=0)).tobytes()
+        assert peak <= 2.2 * 8 * d.node_count
