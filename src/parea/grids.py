@@ -5,8 +5,10 @@ Everything downstream works on node-centered rectangular grids: a box
 Derivatives use second-order central differences at interior nodes and
 second-order one-sided three-point stencils on the faces, so every operator
 is total on the stored data and exact on per-axis quadratic polynomials.
-Integration is the tensor-product trapezoidal rule (exact on per-axis
-linear integrands).
+Each per-axis stencil is one `np.matmul` of the 1-D matrix with the values,
+batched over the axes before the stencil's, and returns a C-contiguous array;
+its last bits follow the BLAS build and the product's shape. Integration is
+the tensor-product trapezoidal rule (exact on per-axis linear integrands).
 
 Fields are immutable after construction and all operations here are pure,
 so values can be shared freely between threads. Flat value ordering is C
@@ -348,20 +350,16 @@ def derivative_matrix(domain: GridDomain, axis: int) -> np.ndarray:
 
 def _apply_axis_matrix(mat: np.ndarray, values: np.ndarray, axis: int,
                        out: np.ndarray | None = None) -> np.ndarray:
-    # First and last axes reduce to plain matrix products; middle axes (m >= 3)
-    # go through tensordot. `out`, when given, is C-contiguous of the result's
-    # shape, so the flat view below writes into it.
-    if axis == 0:
-        n = values.shape[0]
-        flat = None if out is None else out.reshape(n, -1)
-        return np.matmul(mat, values.reshape(n, -1), out=flat).reshape(values.shape)
+    # The last axis is values @ mat.T; any other is mat @ values viewed as
+    # (n, rest) at axis 0, or as (prod(counts[:axis]), n, rest), one product
+    # batched over the earlier axes. `out`, when given, is C-contiguous of
+    # the result's shape, so the same view of it takes the product.
     if axis == values.ndim - 1:
         return np.matmul(values, mat.T, out=out)
-    moved = np.moveaxis(np.tensordot(mat, values, axes=(1, axis)), 0, axis)
-    if out is None:
-        return moved
-    out[...] = moved
-    return out
+    n = values.shape[axis]
+    shape = (n, -1) if axis == 0 else (math.prod(values.shape[:axis]), n, -1)
+    flat = None if out is None else out.reshape(shape)
+    return np.matmul(mat, values.reshape(shape), out=flat).reshape(values.shape)
 
 
 def axis_derivative(domain: GridDomain, values: np.ndarray, axis: int,

@@ -77,8 +77,8 @@ def curl_matrix(f: VectorField) -> SkewField:
     pairs = pair_indices(domain.m)
     entries = np.empty((len(pairs),) + domain.counts)
     for p, (i, j) in enumerate(pairs):
-        entries[p] = (axis_derivative(domain, f.values[j], i)
-                      - axis_derivative(domain, f.values[i], j))
+        axis_derivative(domain, f.values[j], i, out=entries[p])
+        entries[p] -= axis_derivative(domain, f.values[i], j)
     return SkewField._adopt(domain, entries)
 
 
@@ -89,7 +89,8 @@ def _normal_derivatives(domain: GridDomain, nu: np.ndarray, curl_entries: np.nda
     curl's upper-triangle entries (h_ik = -h_ki)."""
     dnu = np.empty((domain.m,) + nu.shape)
     for j, component in enumerate(nu):
-        dnu[:, j] = gradient_values(domain, component)
+        for i in range(domain.m):
+            axis_derivative(domain, component, i, out=dnu[i, j])
     c = np.einsum("k...,kj...->j...", nu, dnu)
     # pairs come lexicographically, so each s_i sums its terms in increasing k
     s = np.zeros_like(nu)

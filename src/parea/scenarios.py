@@ -23,7 +23,6 @@ from .grids import (
     build_domain,
     field_scale,
     sample,
-    sample_vector,
 )
 from .horizontal import (
     curl_matrix,
@@ -197,7 +196,7 @@ def _in_band(name: str, value: float, lo: float, hi: float) -> CheckOutcome:
 # -- bilinear pair sharing one normal ---------------------------------------
 
 def _build_shared_normal_pair(domain: GridDomain, seed: int) -> dict:
-    f = sample_vector(domain, [lambda x, y: -y, lambda x, y: x])
+    f = heisenberg_field(domain)
     u = sample(domain, lambda x, y: x * y)
     v = sample(domain, lambda x, y: x * y + y)
     return {"u": u, "v": v, "f": f, "a": pairwise_rotation(2)}
@@ -309,7 +308,7 @@ def _check_heisenberg(data: dict) -> list[CheckOutcome]:
 # -- potential round trip ----------------------------------------------------
 
 def _roundtrip_fields(domain: GridDomain):
-    f = sample_vector(domain, [lambda x, y: -y, lambda x, y: x])
+    f = heisenberg_field(domain)
     u_star = sample(domain, lambda x, y: np.sin(x) + x * y)
     nu, _, d = horizontal_normal(u_star, f)
     return f, u_star, d, nu

@@ -146,7 +146,7 @@ def line_profile(u: ScalarField, v: ScalarField, f: VectorField,
     steps = np.diff(eps)
     if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, abs(steps[0])):
         raise ValueError("eps grid must be uniform")
-    domain = require_same_domain(u, v, f)
+    domain = require_same_domain(u, v, f, h)
     direction = v.values - u.values
     values = []
     for e in eps:
@@ -446,7 +446,7 @@ def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,
     sup of the integrand is reported alongside). Like every callee a pipeline
     hands fields to, it frees each node array at its last read: the curl sits
     beside one normal at a time, and u's is formed again for the difference."""
-    domain = require_same_domain(u, v, f)
+    domain = require_same_domain(u, v, f, h)
     # one curl for the ranks and both classifications, whose labels stream
     # the Frobenius blocks and so never hold a tensor
     h_curl = curl_matrix(f)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from parea import grids as grids_module
+from parea import horizontal as horizontal_module
 from parea import integrability as integrability_module
 from parea import variational as variational_module
 from parea.cli import main
@@ -193,6 +194,14 @@ class TestFirstVariation:
         assert right >= left
 
 
+def h_on_another_grid():
+    """Fields on 9^4 nodes beside an H on 7^4."""
+    d = build_domain(4, [0] * 4, [1] * 4, [9] * 4)
+    other = build_domain(4, [0] * 4, [1] * 4, [7] * 4)
+    u = sample(d, lambda a, b, c, e: a * b + 0.2 * c)
+    return d, heisenberg_field(d), u, ScalarField(other, np.ones(other.counts))
+
+
 class TestLineProfile:
     def test_constant_for_equal_fields(self):
         d, f, u = rotation_setup(n=17)
@@ -223,6 +232,19 @@ class TestLineProfile:
         d, f, u = rotation_setup(n=9)
         with pytest.raises(ValueError, match="uniform"):
             line_profile(u, u, f, None, np.array([0.0, 0.5, 0.6]))
+
+    def test_h_on_another_grid_refused_before_any_kernel_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return horizontal_module._horizontal(*args)
+
+        monkeypatch.setattr(variational_module, "_horizontal", counting)
+        d, f, u, h = h_on_another_grid()
+        with pytest.raises(ValueError, match="different domains"):
+            line_profile(u, u, f, h, np.linspace(0, 1, 3))
+        assert calls == []
 
 
 class TestMinimize:
@@ -598,6 +620,19 @@ class TestUniquenessAudit:
         v = ScalarField(d, u.values + 1e-3 * interior_bump(d).values)
         uniqueness_audit(u, v, f, None, pairwise_rotation(4))
         assert len(calls) == 1
+
+    def test_h_on_another_grid_refused_before_the_curl(self, monkeypatch):
+        calls = []
+
+        def counting(f):
+            calls.append(1)
+            return curl_matrix(f)
+
+        monkeypatch.setattr(variational_module, "curl_matrix", counting)
+        d, f, u, h = h_on_another_grid()
+        with pytest.raises(ValueError, match="different domains"):
+            uniqueness_audit(u, u, f, h, pairwise_rotation(4))
+        assert calls == []
 
     def test_full_rank_flags_m4(self):
         d = build_domain(4, [0] * 4, [1] * 4, [5] * 4)
