@@ -249,23 +249,15 @@ def _header_value(line: str, key: str) -> str:
     return line[len(prefix):]
 
 
-def _split_header(text: str, final: bool = True) -> tuple[list[str], str] | None:
+def _split_header(text: str) -> tuple[list[str], str]:
     """The header lines and the body after them, with the line boundaries
-    `str.splitlines` uses. With `final=False`, `text` is a prefix of the
-    file: None while it holds fewer than `_HEADER_LINES` line breaks."""
-    lines, pos = [], 0
-    for match in _LINE_BREAK.finditer(text):
-        lines.append(text[pos:match.start()])
-        pos = match.end()
-        if len(lines) == _HEADER_LINES:
-            return lines, text[pos:]
-    if not final:
-        return None
-    if pos < len(text):
-        lines.append(text[pos:])
+    `str.splitlines` uses."""
+    *lines, body = _LINE_BREAK.split(text, _HEADER_LINES)
+    if len(lines) < _HEADER_LINES and body:  # a last line with no break
+        lines, body = lines + [body], ""
     if len(lines) < _HEADER_LINES:
         raise FieldFormatError("malformed header: file too short")
-    return lines, ""
+    return lines, body
 
 
 def _text_chunks(raw):
@@ -293,8 +285,10 @@ def _read_header(chunks) -> tuple[list[str], str]:
     for text in chunks:
         head += text
         # only a chunk with a line break can complete the header
-        if _LINE_BREAK.search(text) and (split := _split_header(head, final=False)):
-            return split
+        if _LINE_BREAK.search(text):
+            *lines, body = _LINE_BREAK.split(head, _HEADER_LINES)
+            if len(lines) == _HEADER_LINES:
+                return lines, body
     return _split_header(head)
 
 

@@ -117,15 +117,14 @@ def _curl_identity_residual(domain: GridDomain, nu: np.ndarray, d: np.ndarray,
     return SkewField(domain, out)
 
 
-def structure_identity_residual(u: ScalarField, f: VectorField,
-                                tau: float = DEFAULT_SINGULAR_TOL) -> SkewField:
+def structure_identity_residual(u: ScalarField, f: VectorField) -> SkewField:
     """Discrete residual of the structure identity for the normal of u.
 
     Evaluated off the singular mask only; masked nodes carry 0. For smooth
     inputs with weight bounded below the max residual decays at second
     order under refinement.
     """
-    nu, mask, d = horizontal_normal(u, f, tau)
+    nu, mask, d = horizontal_normal(u, f)
     return _curl_identity_residual(nu.domain, nu.values, d.values,
                                    curl_matrix(f).values, mask)
 

@@ -27,7 +27,7 @@ from .grids import (
     pointwise_norm,
     require_same_domain,
 )
-from .horizontal import DEFAULT_SINGULAR_TOL, curl_matrix, horizontal_normal
+from .horizontal import curl_matrix, horizontal_normal
 from .integrability import _check_triple
 
 DEFAULT_CLOSEDNESS_TOL = 1e-3
@@ -426,12 +426,12 @@ class NormalCheck:
 
 
 def verify_normal(u: ScalarField, nu: VectorField, d: ScalarField,
-                  f: VectorField, tau: float = DEFAULT_SINGULAR_TOL) -> NormalCheck:
+                  f: VectorField) -> NormalCheck:
     """Report max |(grad u + F)/|grad u + F| - nu| and the relative weight
     mismatch, both off the singular mask of (u, F). Mismatches are reported,
     never raised."""
     domain = require_same_domain(u, nu, d, f)
-    computed_nu, mask, computed_d = horizontal_normal(u, f, tau)
+    computed_nu, mask, computed_d = horizontal_normal(u, f)
     off = ~mask
     diff = computed_nu.values - nu.values
     del computed_nu  # freed before the difference's norm allocates

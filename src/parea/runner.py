@@ -206,6 +206,12 @@ def _resolve_inputs(config: ExperimentConfig, op: Operation) -> dict:
     return data
 
 
+def _normal_source(config: ExperimentConfig) -> None:
+    """`reconstruct` reads its normal from (nu, d) or from (u, f), not both."""
+    if "u" in config.inputs and not config.inputs.keys().isdisjoint(("nu", "d")):
+        raise ConfigError("give --u, or --nu and --d, not both")
+
+
 def _derive_normal_weight(data: dict):
     if "nu" in data and "d" in data:
         return data["nu"], data["d"]
@@ -329,6 +335,10 @@ def _run_reconstruct(config: ExperimentConfig, data: dict, out: Artifacts) -> Ex
     tol = config.tol if config.tol is not None else DEFAULT_CLOSEDNESS_TOL
     # a rejected input stops here, before any artifact is written
     integration_base(f.domain, config.base, tol, config.method)
+    # a file given for either pair selects it over the scenario's other pair
+    if config.inputs.keys() & {"u", "nu", "d"}:
+        for key in ("nu", "d") if "u" in config.inputs else ("u",):
+            data.pop(key, None)
     nu, d = _derive_normal_weight(data)
     u_candidate = candidate_gradient(nu, d, f)
     write_field(u_candidate, out("candidate.pfld"))
@@ -439,7 +449,7 @@ PIPELINES = {
     "check-integrability": Operation(_run_check_integrability, ("tol", "eta"), ("u", "f"),
                                      check=_thresholds),
     "reconstruct": Operation(_run_reconstruct, ("tol", "base", "method"), ("f",),
-                             ("nu", "d", "u")),
+                             ("nu", "d", "u"), check=_normal_source),
     "rank-analysis": Operation(_run_rank_analysis, (), ("f",)),
     "audit-uniqueness": Operation(_run_audit, ("tol", "eta"), ("u", "v", "f"), ("h",),
                                   check=_thresholds),

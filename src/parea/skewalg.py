@@ -48,6 +48,7 @@ from .grids import (
     MAX_DIMENSION,
     check_dimension,
     dense_skew,
+    field_scale,
     index_positions,
     pair_indices,
 )
@@ -80,15 +81,14 @@ class SkewMatrix:
         return dense_skew(self.triangle, self.m)
 
     @classmethod
-    def from_matrix(cls, mat, tol: float = 1e-12) -> "SkewMatrix":
+    def from_matrix(cls, mat) -> "SkewMatrix":
         arr = np.asarray(mat, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
         check_dimension(arr.shape[0])  # before any reduction over arr
         if not np.isfinite(arr).all():
             raise ValueError("non-finite entry in skew matrix")
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if np.max(np.abs(arr + arr.T)) > tol * scale:
+        if np.max(np.abs(arr + arr.T)) > 1e-12 * field_scale(arr):
             raise ValueError("matrix is not skew-symmetric")
         m = arr.shape[0]
         triangle = tuple(float(arr[i, j]) for i, j in pair_indices(m))
@@ -149,14 +149,18 @@ def _certified_full_rank(e: np.ndarray, m: int, tol: float) -> np.ndarray:
     return pf2 > c * c * r2 ** (m // 2)  # P > c
 
 
+def _count_above(lams: np.ndarray, tol: float) -> np.ndarray:
+    """How many values of each descending spectrum (..., k) exceed tol * its first."""
+    return np.count_nonzero(lams > tol * lams[..., :1], axis=-1)
+
+
 def skew_ranks(s, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Numerical rank of every matrix of a stack (..., m, m), shape (...):
     the number of paired singular values above tol * largest, times two.
     Ranks are even by construction, and 0 exactly where a matrix vanishes."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    lams = paired_spectrum(s)
-    return 2 * np.count_nonzero(lams > tol * lams[..., :1], axis=-1)
+    return 2 * _count_above(paired_spectrum(s), tol)
 
 
 def triangle_ranks(entries: np.ndarray, m: int,
@@ -182,18 +186,16 @@ def triangle_ranks(entries: np.ndarray, m: int,
     return ranks.reshape(shape)
 
 
-def skew_rank(s, tol: float = DEFAULT_RANK_TOL) -> int:
+def skew_rank(s) -> int:
     """Numerical rank of one skew matrix (see `skew_ranks`)."""
-    return int(skew_ranks(_dense(s), tol))
+    return int(skew_ranks(_dense(s)))
 
 
-def spectral_pairs(s, tol: float = DEFAULT_RANK_TOL) -> list[float]:
-    """The positive imaginary parts lambda_j of the eigenvalue pairs,
+def spectral_pairs(s) -> list[float]:
+    """The lambda_j of the eigenvalue pairs that the numerical rank counts,
     descending, with multiplicities; empty for the zero matrix."""
     lams = paired_spectrum(_dense(s))
-    if lams.size == 0 or lams[0] == 0.0:
-        return []
-    return [float(x) for x in lams[lams > tol * lams[0]]]
+    return [float(x) for x in lams[:_count_above(lams, DEFAULT_RANK_TOL)]]
 
 
 def alignment_residual(s, nu) -> np.ndarray:
@@ -228,11 +230,11 @@ class Rank2Factorization:
                            - np.outer(self.nu, self.nu_perp))
 
 
-def rank2_factorize(s, tol: float = DEFAULT_RANK_TOL) -> Rank2Factorization:
+def rank2_factorize(s) -> Rank2Factorization:
     """Factor a rank-2 skew matrix; nu is a unit eigenvector of -S^2 for the
     top eigenvalue lam^2 and nu_perp = S nu / |S nu| fixes the orientation."""
     mat = _dense(s)
-    rank = skew_rank(mat, tol)
+    rank = skew_rank(mat)
     if rank != 2:
         raise ValueError(f"rank2_factorize needs rank 2, got rank {rank}")
     sym = -(mat @ mat)
@@ -260,15 +262,15 @@ class Rank2Audit:
     passed: bool
 
 
-def rank2_audit(u, nu, tol: float = DEFAULT_RANK_TOL) -> Rank2Audit:
+def rank2_audit(u, nu) -> Rank2Audit:
     mat = _dense(u)
     v = np.asarray(nu, dtype=float)
-    rank = skew_rank(mat, tol)
+    rank = skew_rank(mat)
     if rank != 2:
         raise ValueError(f"rank2_audit needs rank 2, got rank {rank}")
     unu = mat @ v
-    scale = max(1.0, float(np.max(np.abs(mat)))) * max(1.0, float(np.linalg.norm(v)))
-    if np.linalg.norm(unu) <= tol * scale:
+    scale = field_scale(mat) * max(1.0, float(np.linalg.norm(v)))
+    if np.linalg.norm(unu) <= DEFAULT_RANK_TOL * scale:
         raise ValueError("nu is (numerically) in the kernel of U")
     u2nu = mat @ unu
     n1 = float(np.linalg.norm(unu))

@@ -48,7 +48,7 @@ from .integrability import (
     _frobenius_blocks,
     integrability_labels,
 )
-from .skewalg import DEFAULT_RANK_TOL, SkewMatrix, triangle_ranks
+from .skewalg import SkewMatrix, triangle_ranks
 
 
 # --------------------------------------------------------------------------
@@ -98,8 +98,7 @@ def _functional_from_weight(u: ScalarField, d: np.ndarray,
 
 
 def first_variation(u: ScalarField, phi: ScalarField, f: VectorField,
-                    h: ScalarField | None = None,
-                    tau: float = DEFAULT_SINGULAR_TOL) -> tuple[float, float]:
+                    h: ScalarField | None = None) -> tuple[float, float]:
     """One-sided derivatives of eps -> functional(u + eps*phi) at 0.
 
     Both sides share integral( nu . grad(phi) + H*phi ); the singular set S
@@ -107,7 +106,7 @@ def first_variation(u: ScalarField, phi: ScalarField, f: VectorField,
     right - left = 2 integral_S |grad(phi)| >= 0, zero iff grad(phi) = 0 on S.
     """
     domain = require_same_domain(u, phi, f, h)
-    nu, mask, _ = horizontal_normal(u, f, tau)
+    nu, mask, _ = horizontal_normal(u, f)
     gphi = gradient(phi).values
     common = np.einsum("k...,k...->...", nu.values, gphi)
     if h is not None:
@@ -302,11 +301,11 @@ class _SmoothedObjective:
 
 
 def first_order_residual(u: ScalarField, f: VectorField,
-                         h: ScalarField | None = None,
-                         eps: float = 1e-6) -> float:
-    """Interior stationarity residual of the smoothed objective at u."""
+                         h: ScalarField | None = None) -> float:
+    """Interior stationarity residual at u of the smoothed objective of the
+    last eps stage."""
     obj = _SmoothedObjective(f, h)
-    _, state = obj.value(u.values, eps)
+    _, state = obj.value(u.values, _EPS_SCHEDULE[-1])
     return obj.residual(obj.gradient(state))
 
 
@@ -430,10 +429,10 @@ class UniquenessReport:
         return float(np.mean(self.divb_sign > 0))
 
 
-def pointwise_skew_rank(field, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pointwise_skew_rank(field) -> np.ndarray:
     """Numerical rank of a skew matrix field at every node (always even),
     from the upper-triangle entries it stores."""
-    return triangle_ranks(field.values, field.domain.m, tol)
+    return triangle_ranks(field.values, field.domain.m)
 
 
 def uniqueness_audit(u: ScalarField, v: ScalarField, f: VectorField,

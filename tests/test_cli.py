@@ -220,6 +220,63 @@ class TestReconstruct:
         assert np.max(np.abs(rec.values - shifted)) < 1e-12
 
 
+class TestReconstructSource:
+    """`reconstruct` reads the normal from the files given: --u selects
+    (u, F), --nu or --d selects (nu, D), and --u with either is refused
+    before any file is read. A file is never read and then ignored."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """smooth_roundtrip's fields at 17^2 and at 9^2, and a 17^2 u on its
+        grid that is not the scenario's; each key -> its path."""
+        paths = {}
+        for n in (17, 9):
+            data = builtin_scenario("smooth_roundtrip").build(n)
+            for key in ("u", "f", "nu", "d"):
+                paths[f"{key}{n}"] = tmp_path / f"{key}{n}.pfld"
+                write_field(data[key], paths[f"{key}{n}"])
+        other = sample(builtin_scenario("smooth_roundtrip").domain(17),
+                       lambda x, y: x * y)
+        paths["other17"] = tmp_path / "other17.pfld"
+        write_field(other, paths["other17"])
+        return paths
+
+    @pytest.mark.parametrize("flags", [
+        ("f17", "u17", "nu9"), ("f17", "u17", "d9"), ("f17", "nu17", "d17", "u9"),
+    ], ids=["u-nu", "u-d", "nu-d-u"])
+    def test_u_with_nu_or_d_is_refused_before_any_read(self, tmp_path, monkeypatch,
+                                                        files, flags):
+        reads = []
+        monkeypatch.setattr("parea.runner.read_field", reads.append)
+        out = tmp_path / "out"
+        argv = [f"--{key.rstrip('0123456789')}={files[key]}" for key in flags]
+        assert run_cli("reconstruct", *argv, "--out", str(out)) == int(ExitCode.CONFIG_ERROR)
+        assert reads == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, flag, key", [
+        ("smooth_roundtrip", "--u", "u9"), ("random_smooth", "--nu", "nu9"),
+        ("random_smooth", "--d", "d9"), ("random_smooth", "--nu", "nu17"),
+    ], ids=["scenario-u", "scenario-nu", "scenario-d", "nu-without-d"])
+    def test_a_given_file_is_read_for_the_normal(self, tmp_path, files, scenario,
+                                                 flag, key):
+        out = tmp_path / "out"
+        code = run_cli("reconstruct", "--scenario", scenario, "--resolution", "17",
+                       flag, str(files[key]), "--out", str(out))
+        assert code == int(ExitCode.CONFIG_ERROR)
+        assert not out.exists()
+
+    def test_a_given_u_outranks_the_scenario_normal(self, tmp_path, files):
+        with_scenario, alone = tmp_path / "scenario", tmp_path / "alone"
+        assert run_cli("reconstruct", "--scenario", "smooth_roundtrip", "--resolution",
+                       "17", "--u", str(files["other17"]),
+                       "--out", str(with_scenario)) == 0
+        assert run_cli("reconstruct", "--f", str(files["f17"]),
+                       "--u", str(files["other17"]), "--out", str(alone)) == 0
+        assert ((with_scenario / "potential.csv").read_bytes()
+                == (alone / "potential.csv").read_bytes())
+
+
 def run_fresh_python(code: str) -> str:
     """stdout of `code` run in a new interpreter, so no module that this
     test process already imported is loaded there."""

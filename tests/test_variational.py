@@ -193,6 +193,26 @@ class TestFirstVariation:
         right, left = first_variation(u, phi, f)
         assert right >= left
 
+    def test_h_shifts_both_sides_by_its_pairing_with_phi(self):
+        # smooth_roundtrip's u and F, whose weight is bounded below, so the
+        # singular set is empty and both sides are the derivative
+        d = build_domain(2, [0.2, 0.2], [1.2, 1.2], [33, 33])
+        f = heisenberg_field(d)
+        u = sample(d, lambda x, y: np.sin(x) + x * y)
+        assert not horizontal_normal(u, f)[1].any()
+        h = sample(d, lambda x, y: np.cos(2 * x) - y)
+        phi = sample(d, lambda x, y: x * np.sin(3 * y))
+        right, left = first_variation(u, phi, f, h)
+        right0, left0 = first_variation(u, phi, f)
+        shift = integrate(ScalarField(d, h.values * phi.values))
+        assert abs(shift) > 0.1
+        assert right - right0 == pytest.approx(shift, rel=1e-12)
+        assert left - left0 == pytest.approx(shift, rel=1e-12)
+        step = 1e-6
+        moved = ScalarField(d, u.values + step * phi.values)
+        quotient = (functional(moved, f, h) - functional(u, f, h)) / step
+        assert right == pytest.approx(quotient, abs=1e-6)
+
 
 def h_on_another_grid():
     """Fields on 9^4 nodes beside an H on 7^4."""
